@@ -20,8 +20,8 @@
 //!   pool, per-shard lease timeouts with requeue, retry-then-fail.
 //! * [`predict`] — merge-on-read job archives and cached prediction
 //!   tables trained exactly like the offline `repro_all` path.
-//! * [`server`] — the hand-rolled non-blocking TCP reactor and the
-//!   request handlers.
+//! * [`server`] — the TCP front-end (blocking I/O, one handler thread
+//!   per connection, self-connect shutdown) and the request handlers.
 //!
 //! Everything rests on the shard equivalence property pinned in
 //! `lockstep-eval`: shards merge byte-identical to the single-shot

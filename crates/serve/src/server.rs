@@ -1,19 +1,22 @@
-//! The TCP front-end: a hand-rolled single-threaded non-blocking
-//! reactor speaking the line-delimited JSON protocol.
+//! The TCP front-end: blocking I/O with one handler thread per
+//! connection, speaking the line-delimited JSON protocol.
 //!
-//! One thread owns the listener and every connection (all in
-//! non-blocking mode), multiplexing by polling — no external async
-//! runtime, consistent with the repository's vendored-deps rule. All
-//! heavy work happens on scheduler worker threads; a request handler
-//! only parses, touches the registry, or reads a cached table, so
-//! single-threaded dispatch keeps the protocol serialized (submissions
-//! get monotonic job ids) without limiting injection throughput.
+//! The accept thread starts a handler per connection (at most
+//! [`MAX_CONNECTIONS`]); a handler answers one line before it reads the
+//! next, so replies come in request order. Heavy work runs on scheduler
+//! workers. Submissions hold one lock across registration and
+//! enqueueing, so job ids are monotonic. Shutdown wakes the blocked
+//! `accept` with a self-connect (loopback for an unspecified bind); the
+//! accept thread then shuts down every connection's read half, so idle
+//! handlers see end-of-stream, and joins them. DESIGN.md §11 has the
+//! whole protocol.
 
-use std::io::{ErrorKind as IoErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{BufRead, BufReader, ErrorKind as IoErrorKind, Read, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use lockstep_eval::archive::ARCHIVE_VERSION;
@@ -28,12 +31,14 @@ use crate::proto::{
 use crate::registry::Registry;
 use crate::scheduler::{campaign_runner, Scheduler, SchedulerConfig, ShardRunner};
 
-/// Longest accepted request line; a client exceeding it is disconnected
-/// with an error (protects the reactor from unbounded buffering).
-const MAX_LINE_BYTES: usize = 1 << 20;
+/// Longest accepted request line, newline excluded; a client exceeding
+/// it gets an error line and is disconnected (bounds a handler's
+/// buffering).
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
-/// Reactor poll interval when idle.
-const IDLE_SLEEP: Duration = Duration::from_millis(1);
+/// Most connections served at once; one more gets an error line and is
+/// closed (bounds the handler threads a client population can start).
+pub const MAX_CONNECTIONS: usize = 64;
 
 /// Everything configurable about a service instance.
 #[derive(Clone, Default)]
@@ -52,13 +57,12 @@ impl std::fmt::Debug for ServiceConfig {
     }
 }
 
-/// A running service: reactor thread + scheduler, plus the shutdown
-/// switch.
+/// A running service: accept thread, connection handlers and
+/// scheduler, plus the shutdown switch.
 pub struct ServerHandle {
     addr: SocketAddr,
-    stopping: Arc<AtomicBool>,
-    scheduler: Arc<Scheduler>,
-    reactor: Option<std::thread::JoinHandle<()>>,
+    service: Arc<Service>,
+    acceptor: Option<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for ServerHandle {
@@ -74,19 +78,20 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Asks the reactor and scheduler to stop (same effect as the
-    /// `shutdown` command).
+    /// Asks the accept thread, the connection handlers and the
+    /// scheduler to stop (same effect as the `shutdown` command).
     pub fn shutdown(&self) {
-        self.stopping.store(true, Ordering::SeqCst);
-        self.scheduler.shutdown();
+        self.service.stop();
     }
 
-    /// Blocks until the reactor and every scheduler thread exit.
+    /// Blocks until the accept thread, every connection handler and
+    /// every scheduler thread exit. Clients still holding connections
+    /// open do not delay it.
     pub fn join(mut self) {
-        if let Some(handle) = self.reactor.take() {
+        if let Some(handle) = self.acceptor.take() {
             handle.join().ok();
         }
-        self.scheduler.join();
+        self.service.scheduler.join();
     }
 }
 
@@ -100,6 +105,8 @@ impl ServerHandle {
 /// listener cannot be set up.
 pub fn serve(addr: &str, data_dir: &Path, config: ServiceConfig) -> std::io::Result<ServerHandle> {
     let registry = Arc::new(Registry::open(data_dir)?);
+    let listener = bind(addr)?;
+    let local = listener.local_addr()?;
     let runner = config.runner.clone().unwrap_or_else(|| campaign_runner(config.events.clone()));
     let scheduler = Scheduler::start(
         config.scheduler.clone(),
@@ -109,20 +116,20 @@ pub fn serve(addr: &str, data_dir: &Path, config: ServiceConfig) -> std::io::Res
     );
     scheduler.resume();
     let predict = PredictService::new(Arc::clone(&registry), config.events.clone());
-    let service = Service {
+    let service = Arc::new(Service {
         registry,
-        scheduler: Arc::clone(&scheduler),
+        scheduler,
         predict,
         events: config.events,
-        stopping: Arc::new(AtomicBool::new(false)),
+        stopping: AtomicBool::new(false),
+        submit_lock: Mutex::new(()),
+        wake_addr: wake_addr(local),
+    });
+    let acceptor = {
+        let service = Arc::clone(&service);
+        std::thread::spawn(move || accept_loop(&listener, &service))
     };
-
-    let listener = bind(addr)?;
-    listener.set_nonblocking(true)?;
-    let local = listener.local_addr()?;
-    let stopping = Arc::clone(&service.stopping);
-    let reactor = std::thread::spawn(move || reactor_loop(listener, service));
-    Ok(ServerHandle { addr: local, stopping, scheduler, reactor: Some(reactor) })
+    Ok(ServerHandle { addr: local, service, acceptor: Some(acceptor) })
 }
 
 fn bind(addr: &str) -> std::io::Result<TcpListener> {
@@ -133,16 +140,39 @@ fn bind(addr: &str) -> std::io::Result<TcpListener> {
     TcpListener::bind(&addrs[..])
 }
 
-/// Shared request-handling state behind the reactor.
+/// Where a self-connect reaches the listener bound at `addr`: loopback
+/// for an unspecified bind, else the address itself.
+fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        let ip =
+            if addr.is_ipv4() { Ipv4Addr::LOCALHOST.into() } else { Ipv6Addr::LOCALHOST.into() };
+        addr.set_ip(ip);
+    }
+    addr
+}
+
+/// Request-handling state shared by every connection handler.
 struct Service {
     registry: Arc<Registry>,
     scheduler: Arc<Scheduler>,
     predict: PredictService,
     events: Option<Arc<dyn EventSink>>,
-    stopping: Arc<AtomicBool>,
+    stopping: AtomicBool,
+    /// Held across job registration and enqueueing: the registry picks
+    /// the next id from a directory scan.
+    submit_lock: Mutex<()>,
+    wake_addr: SocketAddr,
 }
 
 impl Service {
+    /// Stops the scheduler and wakes the accept thread, which then
+    /// closes every connection's read half.
+    fn stop(&self) {
+        self.stopping.store(true, Ordering::SeqCst);
+        self.scheduler.shutdown();
+        TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1)).ok();
+    }
+
     /// Handles one request line, returning one response line (without
     /// the trailing newline).
     fn handle(&self, line: &str) -> String {
@@ -168,8 +198,7 @@ impl Service {
                 }
             }
             Ok(Request::Shutdown) => {
-                self.stopping.store(true, Ordering::SeqCst);
-                self.scheduler.shutdown();
+                self.stop();
                 to_line(&ShutdownResponse { ok: true, stopping: true })
             }
         }
@@ -178,6 +207,7 @@ impl Service {
     fn submit(&self, spec: crate::proto::JobSpec) -> Result<SubmitResponse, RequestError> {
         let config = spec.campaign_config()?;
         let specs = plan_shards(&config, spec.shards as usize);
+        let registering = self.submit_lock.lock().expect("no poisoned submit lock");
         let job = self
             .registry
             .create_job(&spec, specs.len() as u64)
@@ -190,6 +220,7 @@ impl Service {
                 self.registry.mark_failed(&job.id, "rejected: queue full at submit");
             })
             .map_err(|e| RequestError::new("queue_full", e))?;
+        drop(registering);
         if let Some(sink) = &self.events {
             sink.emit(&Event::JobSubmitted {
                 job: job.id.clone(),
@@ -255,108 +286,75 @@ fn to_line<T: serde::Serialize>(response: &T) -> String {
     serde_json::to_string(response).expect("responses serialize")
 }
 
-struct Conn {
-    stream: TcpStream,
-    input: Vec<u8>,
-    output: Vec<u8>,
-    closing: bool,
+/// Accepts connections until the service stops, one handler thread
+/// each, then ends every handler's read side and joins them.
+fn accept_loop(listener: &TcpListener, service: &Arc<Service>) {
+    let mut conns: Vec<(TcpStream, JoinHandle<()>)> = Vec::new();
+    for stream in listener.incoming() {
+        if service.stopping.load(Ordering::SeqCst) {
+            break;
+        }
+        let Ok(stream) = stream else {
+            // Back off instead of spinning on e.g. descriptor exhaustion.
+            std::thread::sleep(Duration::from_millis(10));
+            continue;
+        };
+        // The clone stays here so shutdown can end the handler's reads.
+        let Ok(peer) = stream.try_clone() else { continue };
+        conns.retain(|(_, handler)| !handler.is_finished());
+        let spawned = if conns.len() < MAX_CONNECTIONS {
+            let service = Arc::clone(service);
+            std::thread::Builder::new().spawn(move || {
+                serve_connection(&stream, &service);
+                // The accept thread's clone would keep it open.
+                stream.shutdown(Shutdown::Both).ok();
+            })
+        } else {
+            Err(std::io::Error::other(format!("too many connections (limit {MAX_CONNECTIONS})")))
+        };
+        match spawned {
+            Ok(handler) => conns.push((peer, handler)),
+            Err(e) => {
+                (&peer).write_all(format!("{}\n", error_line(&e.to_string())).as_bytes()).ok();
+            }
+        }
+    }
+    for (stream, _) in &conns {
+        stream.shutdown(Shutdown::Read).ok();
+    }
+    for (_, handler) in conns {
+        handler.join().ok();
+    }
 }
 
-fn reactor_loop(listener: TcpListener, service: Service) {
-    let mut conns: Vec<Conn> = Vec::new();
+/// Answers one connection's request lines in order until the client
+/// closes it, sends an over-long line, or the service stops.
+fn serve_connection(mut stream: &TcpStream, service: &Service) {
+    let mut reader = BufReader::new(stream);
+    let mut line = Vec::new();
     loop {
-        if service.stopping.load(Ordering::SeqCst) {
-            // Flush what we can (best effort) and stop listening.
-            for conn in &mut conns {
-                conn.stream.set_nonblocking(false).ok();
-                conn.stream.write_all(&conn.output).ok();
+        line.clear();
+        // One byte past the cap tells an over-long line from one that
+        // fits exactly.
+        match (&mut reader).take(MAX_LINE_BYTES as u64 + 1).read_until(b'\n', &mut line) {
+            Ok(0) | Err(_) => return,
+            Ok(_) if line.pop_if(|b| *b == b'\n').is_some() => {}
+            // Over the cap: say so and close. Cut off mid-line: close.
+            Ok(_) => {
+                if line.len() > MAX_LINE_BYTES {
+                    let reply = error_line("request line too long");
+                    stream.write_all(format!("{reply}\n").as_bytes()).ok();
+                }
+                return;
             }
+        }
+        let text = String::from_utf8_lossy(&line);
+        if text.trim().is_empty() {
+            continue;
+        }
+        let reply = service.handle(text.trim());
+        if stream.write_all(format!("{reply}\n").as_bytes()).is_err() {
             return;
         }
-        let mut busy = false;
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if stream.set_nonblocking(true).is_ok() {
-                    conns.push(Conn {
-                        stream,
-                        input: Vec::new(),
-                        output: Vec::new(),
-                        closing: false,
-                    });
-                }
-                busy = true;
-            }
-            Err(e) if e.kind() == IoErrorKind::WouldBlock => {}
-            Err(_) => {}
-        }
-        for conn in &mut conns {
-            busy |= pump(conn, &service);
-        }
-        conns.retain(|c| !(c.closing && c.output.is_empty()));
-        if !busy {
-            std::thread::sleep(IDLE_SLEEP);
-        }
     }
-}
-
-/// Advances one connection: reads available bytes, handles complete
-/// lines, writes pending output. Returns `true` if any progress was
-/// made.
-fn pump(conn: &mut Conn, service: &Service) -> bool {
-    let mut busy = false;
-    let mut buf = [0u8; 4096];
-    if !conn.closing {
-        loop {
-            match conn.stream.read(&mut buf) {
-                Ok(0) => {
-                    conn.closing = true;
-                    break;
-                }
-                Ok(n) => {
-                    busy = true;
-                    conn.input.extend_from_slice(&buf[..n]);
-                    if conn.input.len() > MAX_LINE_BYTES {
-                        conn.output
-                            .extend_from_slice(error_line("request line too long").as_bytes());
-                        conn.output.push(b'\n');
-                        conn.closing = true;
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == IoErrorKind::WouldBlock => break,
-                Err(_) => {
-                    conn.closing = true;
-                    break;
-                }
-            }
-        }
-        // Handle every complete line buffered so far.
-        while let Some(pos) = conn.input.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = conn.input.drain(..=pos).collect();
-            let text = String::from_utf8_lossy(&line[..line.len() - 1]);
-            let trimmed = text.trim();
-            if trimmed.is_empty() {
-                continue;
-            }
-            busy = true;
-            let response = service.handle(trimmed);
-            conn.output.extend_from_slice(response.as_bytes());
-            conn.output.push(b'\n');
-        }
-    }
-    if !conn.output.is_empty() {
-        match conn.stream.write(&conn.output) {
-            Ok(n) if n > 0 => {
-                conn.output.drain(..n);
-                busy = true;
-            }
-            Ok(_) => {}
-            Err(e) if e.kind() == IoErrorKind::WouldBlock => {}
-            Err(_) => {
-                conn.closing = true;
-                conn.output.clear();
-            }
-        }
-    }
-    busy
 }

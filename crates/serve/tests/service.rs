@@ -1,10 +1,12 @@
 //! End-to-end service tests, each against a real TCP server on an
 //! ephemeral port: the full submit → shard → merge → predict loop, the
-//! restart-resume path, and every graceful-degradation contract
-//! (backpressure, lease timeout requeue, retry-then-fail).
+//! restart-resume path, every graceful-degradation contract
+//! (backpressure, lease timeout requeue, retry-then-fail), and the
+//! connection edge cases (line and nesting caps, connection cap,
+//! concurrent submits, shutdown with clients still connected).
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -19,7 +21,8 @@ use lockstep_eval::shard::{merge_shard_archives, plan_shards, run_shard};
 use lockstep_eval::spec::CampaignSpec;
 use lockstep_fault::ErrorKind;
 use lockstep_obs::{Event, EventSink, MemorySink};
-use lockstep_serve::proto::{PredictResponse, StatusResponse, SubmitResponse};
+use lockstep_serve::proto::{PredictResponse, ShutdownResponse, StatusResponse, SubmitResponse};
+use lockstep_serve::server::{MAX_CONNECTIONS, MAX_LINE_BYTES};
 use lockstep_serve::{serve, JobSpec, Registry, SchedulerConfig, ServerHandle, ServiceConfig};
 use serde::json::Value;
 
@@ -52,22 +55,74 @@ fn seeded_spec(seed: u64, shards: u64) -> JobSpec {
     spec
 }
 
+/// A persistent protocol connection.
+struct Client {
+    reader: BufReader<TcpStream>,
+    writer: TcpStream,
+}
+
+impl Client {
+    fn connect(addr: SocketAddr) -> Client {
+        let stream = TcpStream::connect(addr).expect("connect");
+        Client { reader: BufReader::new(stream.try_clone().expect("clone")), writer: stream }
+    }
+
+    /// The next response line without its newline; empty at end of
+    /// stream.
+    fn recv(&mut self) -> String {
+        let mut response = String::new();
+        self.reader.read_line(&mut response).expect("receive");
+        response.trim_end().to_owned()
+    }
+
+    fn call(&mut self, line: &str) -> String {
+        self.writer.write_all(format!("{line}\n").as_bytes()).expect("send");
+        self.recv()
+    }
+}
+
 /// One request, one response, one connection.
 fn send(handle: &ServerHandle, line: &str) -> String {
-    let stream = TcpStream::connect(handle.addr()).expect("connect");
-    let mut writer = stream.try_clone().expect("clone");
-    writer.write_all(format!("{line}\n").as_bytes()).expect("send");
-    let mut response = String::new();
-    BufReader::new(stream).read_line(&mut response).expect("receive");
-    response.trim_end().to_owned()
+    Client::connect(handle.addr()).call(line)
+}
+
+fn is_ok(response: &str) -> bool {
+    Value::parse(response).unwrap().field("ok").unwrap().as_bool().unwrap()
+}
+
+/// The `(code, error)` of a refusal.
+fn refusal(response: &str) -> (String, String) {
+    let value = Value::parse(response).unwrap();
+    assert!(!value.field("ok").unwrap().as_bool().unwrap(), "expected a refusal: {response}");
+    let text = |k: &str| value.field(k).unwrap().as_str().unwrap().to_owned();
+    (text("code"), text("error"))
+}
+
+/// Joins `handle` on a helper thread; `false` if that takes longer
+/// than `limit` (the test then fails instead of hanging).
+fn joins_within(handle: ServerHandle, limit: Duration) -> bool {
+    let (done, joined) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        handle.join();
+        done.send(()).ok();
+    });
+    joined.recv_timeout(limit).is_ok()
+}
+
+/// A server on `addr` with no shard workers: submits queue but never
+/// run.
+fn idle_server(addr: &str, tag: &str) -> (ServerHandle, PathBuf) {
+    let dir = temp_dir(tag);
+    let config = ServiceConfig {
+        scheduler: SchedulerConfig { workers: 0, ..SchedulerConfig::default() },
+        ..ServiceConfig::default()
+    };
+    (serve(addr, &dir, config).expect("server starts"), dir)
 }
 
 fn send_ok<T: serde::Deserialize>(handle: &ServerHandle, line: &str) -> T {
     let response = send(handle, line);
-    assert!(
-        Value::parse(&response).unwrap().field("ok").unwrap().as_bool().unwrap(),
-        "server refused `{line}`: {response}"
-    );
+    assert!(is_ok(&response), "server refused `{line}`: {response}");
     serde_json::from_str(&response)
         .unwrap_or_else(|e| panic!("unexpected response `{response}`: {e}"))
 }
@@ -482,5 +537,162 @@ fn malformed_requests_get_error_lines_and_the_connection_survives() {
 
     handle.shutdown();
     handle.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Submits from several connections at once still get distinct,
+/// contiguous job ids, each registered with its own spec.
+#[test]
+fn concurrent_submits_get_distinct_contiguous_job_ids() {
+    const THREADS: u64 = 4;
+    const PER_THREAD: u64 = 10;
+    let (handle, dir) = idle_server("127.0.0.1:0", "concurrent_submits");
+    let start = std::sync::Barrier::new(THREADS as usize);
+    let mut submitted: Vec<(String, u64)> = std::thread::scope(|scope| {
+        let submitters: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (handle, start) = (&handle, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    (0..PER_THREAD)
+                        .map(|i| {
+                            let seed = 1000 + t * PER_THREAD + i;
+                            let line = submit_line(&seeded_spec(seed, 2));
+                            (send_ok::<SubmitResponse>(handle, &line).job, seed)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        submitters.into_iter().flat_map(|s| s.join().expect("submitter")).collect()
+    });
+    submitted.sort();
+    let ids: Vec<&str> = submitted.iter().map(|(id, _)| id.as_str()).collect();
+    let expected: Vec<String> = (1..=THREADS * PER_THREAD).map(|n| format!("job-{n:06}")).collect();
+    assert_eq!(ids, expected);
+
+    // No submit overwrote another's record.
+    let registry = Registry::open(&dir).unwrap();
+    for (id, seed) in &submitted {
+        assert_eq!(registry.job(id).expect("job registered").spec.campaign.seed, *seed, "{id}");
+    }
+
+    handle.shutdown();
+    handle.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A request nested far deeper than the parser allows is a typed
+/// `bad_request`, not a stack overflow that takes the daemon down.
+#[test]
+fn deeply_nested_request_is_a_bad_request_and_the_server_survives() {
+    let (handle, dir) = idle_server("127.0.0.1:0", "nesting");
+    let mut client = Client::connect(handle.addr());
+    let (code, error) = refusal(&client.call(&"[".repeat(200_000)));
+    assert_eq!(code, "bad_request");
+    assert!(error.contains("nesting"), "{error}");
+    assert!(is_ok(&client.call(r#"{"cmd":"ping"}"#)));
+    assert!(is_ok(&send(&handle, r#"{"cmd":"ping"}"#)));
+
+    handle.shutdown();
+    handle.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A line over the cap gets one error line, then the connection
+/// closes.
+#[test]
+fn over_long_request_line_gets_an_error_then_the_connection_closes() {
+    let (handle, dir) = idle_server("127.0.0.1:0", "long_line");
+    let mut client = Client::connect(handle.addr());
+    // Exactly one byte over, with no newline: the server reads all of
+    // it, so it closes cleanly instead of resetting the connection.
+    client.writer.write_all(&vec![b'a'; MAX_LINE_BYTES + 1]).expect("send");
+    let (_, error) = refusal(&client.recv());
+    assert_eq!(error, "request line too long");
+    assert_eq!(client.recv(), "", "the connection must close after the error");
+    assert!(is_ok(&send(&handle, r#"{"cmd":"ping"}"#)));
+
+    handle.shutdown();
+    handle.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One connection over the cap is refused with an error line and
+/// closed; the connections under it keep working, and closing one of
+/// them frees its slot.
+#[test]
+fn connections_over_the_cap_are_refused_and_the_rest_still_work() {
+    let (handle, dir) = idle_server("127.0.0.1:0", "conn_cap");
+    let ping = r#"{"cmd":"ping"}"#;
+    // A reply proves the server accepted the connection, so the one
+    // over the cap is accepted last.
+    let mut held: Vec<Client> = (0..MAX_CONNECTIONS)
+        .map(|_| {
+            let mut client = Client::connect(handle.addr());
+            assert!(is_ok(&client.call(ping)));
+            client
+        })
+        .collect();
+
+    let mut extra = Client::connect(handle.addr());
+    let (_, error) = refusal(&extra.recv());
+    assert!(error.contains("too many connections"), "{error}");
+    assert_eq!(extra.recv(), "", "the refused connection must close");
+
+    for client in &mut held {
+        assert!(is_ok(&client.call(ping)));
+    }
+
+    // The freed slot is reaped on a later accept; the handler may take
+    // a moment to notice the close, so retry briefly.
+    drop(held.pop());
+    let deadline = Instant::now() + Duration::from_secs(2);
+    loop {
+        let mut client = Client::connect(handle.addr());
+        client.writer.write_all(format!("{ping}\n").as_bytes()).expect("send");
+        if is_ok(&client.recv()) {
+            break;
+        }
+        assert!(Instant::now() < deadline, "a closed connection's slot was never freed");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    handle.shutdown();
+    handle.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The reply to `shutdown` reaches the client before its connection
+/// closes, and `join` returns while another client is idle mid-line.
+#[test]
+fn shutdown_reply_arrives_and_join_ignores_a_half_sent_line() {
+    let (handle, dir) = idle_server("127.0.0.1:0", "shutdown");
+    let mut idle = Client::connect(handle.addr());
+    assert!(is_ok(&idle.call(r#"{"cmd":"ping"}"#)));
+    idle.writer.write_all(br#"{"cmd":"pi"#).expect("send half a line");
+    std::thread::sleep(Duration::from_millis(50));
+
+    let mut stopper = Client::connect(handle.addr());
+    let reply: ShutdownResponse =
+        serde_json::from_str(&stopper.call(r#"{"cmd":"shutdown"}"#)).expect("shutdown reply");
+    assert!(reply.ok && reply.stopping);
+    assert!(joins_within(handle, Duration::from_secs(2)), "join blocked on an idle client");
+    assert_eq!(stopper.recv(), "");
+    assert_eq!(idle.recv(), "", "the half-sent line is dropped, not answered");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A server bound to the unspecified address wakes its own `accept`
+/// through loopback and shuts down cleanly.
+#[test]
+fn server_bound_to_unspecified_address_shuts_down() {
+    let (handle, dir) = idle_server("0.0.0.0:0", "unspecified");
+    assert!(handle.addr().ip().is_unspecified());
+    let loopback = SocketAddr::from(([127, 0, 0, 1], handle.addr().port()));
+    assert!(is_ok(&Client::connect(loopback).call(r#"{"cmd":"ping"}"#)));
+
+    handle.shutdown();
+    assert!(joins_within(handle, Duration::from_secs(2)), "accept was never woken");
     std::fs::remove_dir_all(&dir).ok();
 }
