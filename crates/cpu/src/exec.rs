@@ -28,6 +28,7 @@
 use lockstep_isa::{Csr, Opcode, TrapCause, DEFAULT_TRAP_VECTOR};
 use lockstep_mem::MemoryPort;
 
+use crate::dirty::{quiet_csr_bit, QUIET_RAS, QUIET_RF};
 use crate::ports::{parity8, PortSet, Sc};
 use crate::state::CpuState;
 
@@ -625,6 +626,54 @@ pub fn rf_read_candidates(s: &CpuState) -> u32 {
         if src != 0 {
             mask |= 1 << (src - 1);
         }
+    }
+    mask
+}
+
+/// The quiet pairs (see [`crate::dirty`]) the *next* [`compute_next`]
+/// call may read or write, as a quiet mask — apart from the exact
+/// register-file write of [`rf_write_of`] and the counter increments,
+/// which keep a counter's additive residue intact. `trap` is whether
+/// the cycle takes a trap; the trap decision depends only on state
+/// outside the quiet set and on memory, so golden's recorded
+/// `Sc::ExcCtl` port for the cycle answers it for every machine that
+/// differs from golden only in quiet pairs.
+///
+/// Every site that touches a quiet pair:
+///
+/// * the ID-stage operand fetch reads the register file
+///   ([`rf_read_candidates`]);
+/// * a call (`jal` with `rd = x1`) in the ID latch pushes onto the RAS
+///   entry at `ras_sp`; a return (`jalr x0, x1`) pops the one below it;
+/// * `csrr`/`csrw` in the ID latch read or write the CSR named by the
+///   low four bits of `id_imm` (`cycle`, `instret` and `hartid` only
+///   through `read_csr`);
+/// * a trap reads `csr_tvec` and writes `csr_cause` and `csr_epc`.
+///
+/// The RAS and CSR sites are a superset for the same reason as
+/// [`rf_read_candidates`]: a stall or trap may keep the instruction in
+/// ID, which only costs a spurious wake-up.
+pub fn quiet_touch(s: &CpuState, trap: bool) -> u64 {
+    let mut mask = u64::from(rf_read_candidates(s)) << QUIET_RF;
+    if trap {
+        for csr in [Csr::Tvec, Csr::Cause, Csr::Epc] {
+            mask |= quiet_csr_bit(csr).map_or(0, |bit| 1 << bit);
+        }
+    }
+    if s.halted & 1 == 1 || s.id_valid & 1 == 0 {
+        return mask;
+    }
+    let (rd, rs1) = (s.id_rd & 0x1F, s.id_rs1 & 0x1F);
+    match Opcode::from_bits(u32::from(s.id_op)) {
+        Some(Opcode::Jal) if rd == 1 => mask |= 1 << (QUIET_RAS + u32::from(s.ras_sp & 7)),
+        Some(Opcode::Jalr) if rs1 == 1 && rd == 0 => {
+            mask |= 1 << (QUIET_RAS + u32::from(s.ras_sp.wrapping_sub(1) & 7));
+        }
+        Some(Opcode::Csrr | Opcode::Csrw) => {
+            let csr = Csr::from_bits(s.id_imm & 0xF);
+            mask |= csr.and_then(quiet_csr_bit).map_or(0, |bit| 1 << bit);
+        }
+        _ => {}
     }
     mask
 }

@@ -25,7 +25,7 @@ use crate::units::UnitId;
 pub struct FlopReg<S = CpuState> {
     /// Field name in the RTL-level state (e.g. `"pc"`, `"regs"`).
     pub name: &'static str,
-    /// The logical unit the register belongss to.
+    /// The logical unit the register belongs to.
     pub unit: UnitId,
     /// Bit width of each lane (1–64).
     pub width: u8,

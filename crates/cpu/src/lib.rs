@@ -40,8 +40,10 @@ pub mod units;
 
 pub use core_model::{ArchCsrs, CoreKind, CoreModel};
 pub use cpu::Cpu;
-pub use dirty::{converged, rf_confined, rf_registry_index, DirtyWitness, LaneWatch};
-pub use exec::{rf_read_candidates, rf_write_of, StepInfo};
+pub use dirty::{
+    converged, quiet_confined, rf_registry_index, DirtyWitness, LaneWatch, QuietResidue,
+};
+pub use exec::{quiet_touch, rf_read_candidates, rf_write_of, StepInfo};
 pub use flops::{FlopId, FlopReg};
 pub use lr7::{Lr7, Lr7State};
 pub use ports::{retire_effect_mask, PortSet, Sc, RETIRE_EFFECT_PORTS, SC_COUNT};

@@ -6,7 +6,7 @@
 //! pre-state proves its dirty registers are unread, so any hole in
 //! either oracle silently corrupts campaign results.
 
-use lockstep_cpu::{rf_confined, rf_read_candidates, rf_write_of, Cpu, DirtyWitness, PortSet};
+use lockstep_cpu::{quiet_confined, rf_read_candidates, rf_write_of, Cpu, DirtyWitness, PortSet};
 use lockstep_workloads::Workload;
 
 const MAX_CYCLES: usize = 30_000;
@@ -87,7 +87,7 @@ fn unread_registers_cannot_influence_a_cycle() {
                         workload.name
                     );
                     let mut w = DirtyWitness::new();
-                    let dirty = rf_confined(gold.state(), perturbed.state(), &mut w)
+                    let dirty = quiet_confined(gold.state(), perturbed.state(), &mut w)
                         .unwrap_or_else(|| {
                             panic!(
                                 "workload {} cycle {cycle}: unread x{r} escaped the RF",

@@ -24,17 +24,18 @@
 //!    dirty set is seen empty the fault is provably masked for the
 //!    rest of the run (see the soundness argument in DESIGN.md §10)
 //!    and the lane is retired instead of simulating to the end of the
-//!    trace. A lane whose residue is *confined to architectural
-//!    registers* ([`lockstep_cpu::dirty::rf_confined`]) goes one step
-//!    further: the register file has exactly one read site and one
-//!    write site in the pipeline, both decodable from golden's
-//!    pre-cycle state, so the lane is parked at zero simulation cost —
-//!    golden's WB writes clean its dirty registers (both machines would
-//!    write the same value), and the lane wakes only the cycle a dirty
-//!    register lands in the decoded read-candidate set
-//!    ([`lockstep_cpu::exec::rf_read_candidates`]). Dead-register
-//!    residue, the dominant fate of masked transients, parks to the end
-//!    of the trace without a single simulated cycle.
+//!    trace. A lane whose residue is *confined to the quiet set* — the
+//!    register file, the return-address stack, the software-visible
+//!    CSRs and the two counters ([`lockstep_cpu::dirty::quiet_confined`])
+//!    — goes one step further: every read and write of that state is
+//!    decodable from golden's pre-cycle state, so the lane is parked at
+//!    zero simulation cost — golden's WB writes clean its dirty
+//!    registers (both machines would write the same value), counter
+//!    residue rides along as an additive offset, and the lane wakes only
+//!    the cycle one of its dirty pairs lands in the decoded touch set
+//!    ([`lockstep_cpu::exec::quiet_touch`]). Dead residue, the dominant
+//!    fate of masked faults, parks to the end of the trace without a
+//!    single simulated cycle.
 //! 3. **Bit-parallel parked lanes** — a stuck-at whose forced value
 //!    currently equals golden's bit is not simulated at all: it is
 //!    *parked* in a [`LaneWatch`], which packs up to 64 stuck-at-0 and
@@ -43,8 +44,8 @@
 //!    ops per cycle. The cycle golden's bit first disagrees, the fault
 //!    wakes into a scalar lane (the fallback rule); a woken lane that
 //!    re-converges with golden is re-parked, up to a small cap.
-//!    Stuck-ats *on register-file flops* use the register-file parking
-//!    of layer 2 instead of a watch: even while golden's bit disagrees
+//!    Stuck-ats *on register-file flops* use the quiet parking of
+//!    layer 2 instead of a watch: even while golden's bit disagrees
 //!    with the stuck value the whole divergence is one known register
 //!    value, so the fault stays parked until that register is read
 //!    rather than waking on every bit flip.
@@ -58,9 +59,12 @@
 //! (`tests/batch_equivalence.rs`).
 
 use lockstep_core::Dsr;
-use lockstep_cpu::dirty::{converged, rf_confined, rf_registry_index, DirtyWitness, LaneWatch};
-use lockstep_cpu::exec::{rf_read_candidates, rf_write_of};
-use lockstep_cpu::{flops, CoreModel, Cpu, CpuState, Lr7, PortSet, PortTrace};
+use lockstep_cpu::dirty::{
+    converged, quiet_bit, quiet_confined, rf_registry_index, DirtyWitness, LaneWatch, QuietResidue,
+    QUIET_COUNTERS, QUIET_RF,
+};
+use lockstep_cpu::exec::{quiet_touch, rf_write_of};
+use lockstep_cpu::{flops, CoreModel, Cpu, CpuState, Lr7, PortSet, PortTrace, Sc};
 use lockstep_fault::{Fault, FaultKind};
 use lockstep_mem::{Memory, TrialLog, TrialView};
 use lockstep_workloads::GoldenCheckpoints;
@@ -192,65 +196,83 @@ struct WatchGroup {
 }
 
 /// A fault parked because its entire divergence from golden is confined
-/// to architectural registers. Costs zero simulation per cycle: the
-/// register file's single write site cleans dirty registers as golden
-/// retires writes (both machines would write the identical value, which
-/// is computed from non-dirty latches), and the single read site —
-/// decoded from golden's pre-cycle fetch latch — tells us the exact
-/// cycle a dirty register might be observed, which is when the entry
-/// wakes into a scalar [`Lane`].
-struct RfParked {
+/// to the quiet set. Costs zero simulation per cycle: the register
+/// file's single write site cleans dirty registers as golden retires
+/// writes (both machines would write the identical value, which is
+/// computed from non-dirty latches), counters carry their residue as an
+/// offset, and every other read or write of a quiet pair — decoded from
+/// golden's pre-cycle state — tells us the exact cycle a dirty pair
+/// might be observed, which is when the entry wakes into a scalar
+/// [`Lane`].
+struct QuietParked {
     fault: Fault,
     outs: Vec<usize>,
     reparks: u32,
-    /// Bit `r - 1` set: the faulty machine's register `r` currently
-    /// differs from golden's.
-    dirty: u32,
-    /// The faulty machine's register file (authoritative for dirty
-    /// registers; clean ones equal golden's live value by definition).
-    regs: [u32; 31],
+    /// The faulty machine's difference from golden's live state.
+    residue: QuietResidue,
     /// Walker cycle at which the entry parked, for savings accounting.
     park_cycle: u64,
 }
 
-/// Aggregate wake filters over the register-file parking lot: the union
-/// of all dirty-register masks, the set of registers targeted by parked
-/// register-file stuck-ats (whose dirtiness golden's writes can *re*-
-/// introduce), and how many parked stuck-ats target a non-RF flop (and
-/// so need a per-cycle agreement check against golden's committed
-/// state). The common per-cycle case is two mask tests and no per-entry
-/// work at all.
-fn rf_masks(entries: &[RfParked], rf: u16) -> (u32, u32, usize) {
-    let mut dirty_union = 0u32;
+/// The quiet pair a stuck-at holds at its forced value: its own pair
+/// when that is a RAS entry or a CSR, as a quiet mask (0 otherwise).
+/// Between touches nothing writes the pair, so the overlay is the
+/// identity and the faulty value stays put; the entry wakes when the
+/// pair is touched, clean or not, because a write may re-dirty it.
+/// Register-file stuck-ats are tracked through golden's writes instead;
+/// counter and non-quiet stuck-ats carry the watch condition (phase 4b).
+fn held_pair(f: Fault, rf: u16) -> u64 {
+    if f.kind == FaultKind::Transient || f.flop.reg == rf {
+        return 0;
+    }
+    match quiet_bit(f.flop.reg, f.flop.lane) {
+        Some(bit) if QUIET_COUNTERS & 1 << bit == 0 => 1 << bit,
+        _ => 0,
+    }
+}
+
+/// Aggregate wake filters over the quiet parking lot: the union of all
+/// wake masks (dirty pairs plus held pairs), the set of registers
+/// targeted by parked register-file stuck-ats (whose dirtiness golden's
+/// writes can *re*-introduce), and how many parked stuck-ats carry the
+/// watch condition (and so need a per-cycle agreement check against
+/// golden's committed state). The common per-cycle case is two mask
+/// tests and no per-entry work at all.
+fn quiet_masks(entries: &[QuietParked], rf: u16) -> (u64, u32, usize) {
+    let mut wake = 0u64;
     let mut stuck_rf = 0u32;
-    let mut nonrf_stuck = 0usize;
+    let mut watched = 0usize;
     for e in entries {
-        dirty_union |= e.dirty;
+        let held = held_pair(e.fault, rf);
+        wake |= e.residue.dirty() | held;
         if e.fault.kind != FaultKind::Transient {
             if e.fault.flop.reg == rf {
                 stuck_rf |= 1 << e.fault.flop.lane;
-            } else {
-                nonrf_stuck += 1;
+            } else if held == 0 {
+                watched += 1;
             }
         }
     }
-    (dirty_union, stuck_rf, nonrf_stuck)
+    (wake, stuck_rf, watched)
 }
 
-/// The faulty machine implied by a parked entry: `base` (golden) with
-/// the entry's dirty registers substituted in.
-fn rf_materialize(entry: &RfParked, base: &CpuState) -> CpuState {
-    let mut st = base.clone();
-    for r in 0..31 {
-        if entry.dirty & (1 << r) != 0 {
-            st.regs[r] = entry.regs[r];
-        }
+/// Whether `f` is a stuck-at on a counter flop whose counter differs
+/// from golden's. A forced counter bit is no additive offset — the
+/// increment keeps running into it — so such a lane stays live and
+/// skips the confinement scan.
+fn holds_counter(f: Fault, faulty: &CpuState, golden: &CpuState) -> bool {
+    let on_counter = f.kind != FaultKind::Transient
+        && quiet_bit(f.flop.reg, f.flop.lane).is_some_and(|bit| QUIET_COUNTERS & 1 << bit != 0);
+    if !on_counter {
+        return false;
     }
-    st
+    let reg = &flops::registry()[usize::from(f.flop.reg)];
+    let lane = usize::from(f.flop.lane);
+    reg.read(faulty, lane) != reg.read(golden, lane)
 }
 
 /// A register value with a stuck-at bit forced.
-fn forced(v: u32, bit: u8, stuck1: bool) -> u32 {
+fn forced(v: u64, bit: u8, stuck1: bool) -> u64 {
     if stuck1 {
         v | (1 << bit)
     } else {
@@ -334,17 +356,17 @@ pub fn run_batch_group(
     let mut pending = in_range.into_iter().peekable();
     let mut lanes: Vec<Lane> = Vec::new();
     let mut watches: Vec<WatchGroup> = Vec::new();
-    let mut rf_parked: Vec<RfParked> = Vec::new();
+    let mut lot: Vec<QuietParked> = Vec::new();
     let rf_idx = rf_registry_index();
-    // Cached `rf_masks` aggregates, refreshed whenever the lot changes.
-    let mut rf_stale = false;
-    let (mut rf_dirty_union, mut rf_stuck_rf, mut rf_nonrf_stuck) = (0u32, 0u32, 0usize);
+    // Cached `quiet_masks` aggregates, refreshed whenever the lot changes.
+    let mut lot_stale = false;
+    let (mut lot_wake, mut lot_stuck_rf, mut lot_watched) = (0u64, 0u32, 0usize);
     let mut mem_pool: Vec<Memory> = Vec::new();
     let mut lports = PortSet::new();
     let mut log = TrialLog::new();
 
     while cycle < trace_len {
-        if lanes.is_empty() && watches.is_empty() && rf_parked.is_empty() {
+        if lanes.is_empty() && watches.is_empty() && lot.is_empty() {
             // Idle: nothing to simulate until the next strike. Jump the
             // walker forward over any checkpoint between here and there.
             let Some(&i) = pending.peek() else {
@@ -367,69 +389,68 @@ pub fn run_batch_group(
         let at = cycle;
         let gp = trace.get(at).expect("walker within the golden trace");
 
-        // (0) Register-file parking lot, checked against the walker's
-        // *pre*-cycle state (the same state every machine agrees on for
-        // everything outside the dirty registers). Two mask tests filter
-        // the common nothing-to-do case; a firing filter pays one pass:
-        // an entry whose dirty register sits in this cycle's decoded
-        // read-candidate set wakes into a scalar lane (materialized from
-        // pre-state, so it steps through `at` with the other lanes), and
-        // golden's predicted WB write cleans — or, for a register-file
-        // stuck-at's target, re-forces — the written register.
-        if !rf_parked.is_empty() {
-            if rf_stale {
-                (rf_dirty_union, rf_stuck_rf, rf_nonrf_stuck) = rf_masks(&rf_parked, rf_idx);
-                rf_stale = false;
+        // (0) Quiet parking lot, checked against the walker's *pre*-cycle
+        // state (the same state every machine agrees on outside the
+        // dirty pairs) and golden's recorded trap for this cycle (the
+        // trap decision reads no quiet state, so every parked machine
+        // traps exactly when golden does). Two mask tests filter the
+        // common nothing-to-do case; a firing filter pays one pass: an
+        // entry with a dirty pair in this cycle's decoded touch set
+        // wakes into a scalar lane (materialized from pre-state, so it
+        // steps through `at` with the other lanes), and golden's
+        // predicted WB write cleans — or, for a register-file stuck-at's
+        // target, re-forces — the written register. A stuck-at on a RAS
+        // entry or CSR also wakes when its own pair is touched.
+        if !lot.is_empty() {
+            if lot_stale {
+                (lot_wake, lot_stuck_rf, lot_watched) = quiet_masks(&lot, rf_idx);
+                lot_stale = false;
             }
             let pre = wcpu.state();
-            let reads = rf_read_candidates(pre);
+            let touch = quiet_touch(pre, gp.get(Sc::ExcCtl) & 1 == 1);
             let wr = rf_write_of(pre);
-            let write_hits =
-                wr.is_some_and(|(r, _)| (rf_dirty_union | rf_stuck_rf) & 1 << (r - 1) != 0);
-            if reads & rf_dirty_union != 0 || write_hits {
+            let write_hits = wr.is_some_and(|(r, _)| {
+                lot_wake & 1 << (QUIET_RF + u32::from(r) - 1) != 0
+                    || lot_stuck_rf & 1 << (r - 1) != 0
+            });
+            if touch & lot_wake != 0 || write_hits {
                 let mut pi = 0;
-                while pi < rf_parked.len() {
-                    let e = &mut rf_parked[pi];
-                    if reads & e.dirty != 0 {
-                        let entry = rf_parked.swap_remove(pi);
+                while pi < lot.len() {
+                    let e = &mut lot[pi];
+                    if touch & (e.residue.dirty() | held_pair(e.fault, rf_idx)) != 0 {
+                        let entry = lot.swap_remove(pi);
                         lanes.push(Lane {
-                            cpu: Cpu::from_state(rf_materialize(&entry, pre)),
+                            cpu: Cpu::from_state(entry.residue.materialize(pre)),
                             fault: entry.fault,
                             outs: entry.outs,
                             witness: DirtyWitness::new(),
                             reparks: entry.reparks,
                         });
                         cost.lane_activations += 1;
-                        rf_stale = true;
+                        lot_stale = true;
                         continue;
                     }
                     if let Some((r, v)) = wr {
-                        let bit = 1u32 << (r - 1);
+                        let bit = QUIET_RF + u32::from(r) - 1;
+                        let v = u64::from(v);
                         let rf_target = e.fault.kind != FaultKind::Transient
                             && e.fault.flop.reg == rf_idx
                             && e.fault.flop.lane == u16::from(r - 1);
                         if rf_target {
                             let stuck1 = e.fault.kind == FaultKind::StuckAt1;
-                            let fv = forced(v, e.fault.flop.bit, stuck1);
-                            e.regs[usize::from(r - 1)] = fv;
-                            if fv != v {
-                                e.dirty |= bit;
-                            } else {
-                                e.dirty &= !bit;
-                            }
-                            rf_stale = true;
-                        } else if e.dirty & bit != 0 {
-                            e.regs[usize::from(r - 1)] = v;
-                            e.dirty &= !bit;
-                            rf_stale = true;
-                            if e.dirty == 0 && e.fault.kind == FaultKind::Transient {
-                                // Last dirty register overwritten: the
-                                // faulty machine is golden again, masked
-                                // for the rest of the run.
+                            e.residue.assign(bit, forced(v, e.fault.flop.bit, stuck1), v);
+                            lot_stale = true;
+                        } else if e.residue.dirty() & 1 << bit != 0 {
+                            e.residue.assign(bit, v, v);
+                            lot_stale = true;
+                            if e.residue.dirty() == 0 && e.fault.kind == FaultKind::Transient {
+                                // Last dirty pair overwritten: the faulty
+                                // machine is golden again, masked for the
+                                // rest of the run.
                                 let n = e.outs.len() as u64;
                                 cost.masked_early_out += n;
                                 cost.early_out_cycles_saved += (trace_len - e.park_cycle) * n;
-                                rf_parked.swap_remove(pi);
+                                lot.swap_remove(pi);
                                 continue;
                             }
                         }
@@ -502,26 +523,31 @@ pub fn run_batch_group(
         // (both machines are now post-`at`, so the comparison is exact):
         // a transient whose dirty set emptied is provably masked from
         // here and retires; a lane whose remaining divergence is
-        // confined to architectural registers parks in the zero-cost
-        // register-file lot; a woken stuck-at whose forced bit agrees
-        // with golden again goes back into a zero-cost watch.
+        // confined to the quiet set parks in the zero-cost lot; a woken
+        // stuck-at whose forced bit agrees with golden again goes back
+        // into a zero-cost watch.
         let mut li = 0;
         while li < lanes.len() {
             let lane = &mut lanes[li];
-            let checked = match lane.fault.kind {
+            let f = lane.fault;
+            let checked = match f.kind {
                 FaultKind::Transient => layers.early_out,
-                _ => layers.parked_lanes && lane.reparks < REPARK_CAP,
+                _ => {
+                    layers.parked_lanes
+                        && lane.reparks < REPARK_CAP
+                        && !holds_counter(f, lane.cpu.state(), committed)
+                }
             };
             if !checked {
                 li += 1;
                 continue;
             }
             // Past the re-park cap a transient only gets the cheap
-            // full-convergence check; rescanning for an RF-confined
+            // full-convergence check; rescanning for a quiet-confined
             // residue it is no longer allowed to park on would cost a
             // registry walk every cycle.
             let verdict = if lane.reparks < REPARK_CAP {
-                rf_confined(lane.cpu.state(), committed, &mut lane.witness)
+                quiet_confined(lane.cpu.state(), committed, &mut lane.witness)
             } else if converged(lane.cpu.state(), committed, &mut lane.witness) {
                 Some(0)
             } else {
@@ -531,43 +557,32 @@ pub fn run_batch_group(
                 li += 1;
                 continue;
             };
-            if dirty == 0 {
-                if lane.fault.kind == FaultKind::Transient {
-                    let n = lane.outs.len() as u64;
-                    cost.masked_early_out += n;
-                    cost.early_out_cycles_saved += (trace_len - cycle) * n;
-                    lanes.swap_remove(li);
-                } else if lane.fault.flop.reg == rf_idx {
-                    // A register-file stuck-at parks in the RF lot even
-                    // when clean: golden's next write to its target may
-                    // re-dirty it, which phase (0) tracks exactly.
-                    let lane = lanes.swap_remove(li);
-                    rf_parked.push(RfParked {
-                        fault: lane.fault,
-                        outs: lane.outs,
-                        reparks: lane.reparks + 1,
-                        dirty: 0,
-                        regs: lane.cpu.state().regs,
-                        park_cycle: cycle,
-                    });
-                    rf_stale = true;
-                } else {
-                    let outs = std::mem::take(&mut lane.outs);
-                    let reparks = lane.reparks + 1;
-                    park(&mut watches, lane.fault, outs, reparks);
-                    lanes.swap_remove(li);
-                }
+            if dirty == 0 && f.kind == FaultKind::Transient {
+                let n = lane.outs.len() as u64;
+                cost.masked_early_out += n;
+                cost.early_out_cycles_saved += (trace_len - cycle) * n;
+                lanes.swap_remove(li);
+            } else if dirty == 0 && f.flop.reg != rf_idx {
+                let outs = std::mem::take(&mut lane.outs);
+                let reparks = lane.reparks + 1;
+                park(&mut watches, f, outs, reparks);
+                lanes.swap_remove(li);
             } else if lane.reparks < REPARK_CAP {
+                // Parks with its residue. A register-file stuck-at parks
+                // even when clean: golden's next write to its target may
+                // re-dirty it, which phase (0) tracks exactly. A RAS or
+                // CSR stuck-at wakes on a touch of its pair; any other
+                // stuck-at carries the watch condition into the lot
+                // (phase 4b).
                 let lane = lanes.swap_remove(li);
-                rf_parked.push(RfParked {
-                    fault: lane.fault,
+                lot.push(QuietParked {
+                    fault: f,
                     outs: lane.outs,
                     reparks: lane.reparks + 1,
-                    dirty,
-                    regs: lane.cpu.state().regs,
+                    residue: QuietResidue::capture(committed, lane.cpu.state(), dirty),
                     park_cycle: cycle,
                 });
-                rf_stale = true;
+                lot_stale = true;
             } else {
                 li += 1;
             }
@@ -629,20 +644,24 @@ pub fn run_batch_group(
             }
         }
 
-        // (4b) RF-parked stuck-ats targeting a *non*-RF flop stay in
-        // provable lockstep only while golden's bit agrees with the
-        // stuck value (the watch condition); the cycle it first
-        // disagrees the overlay would smear a fresh non-RF diff, so the
-        // entry wakes into a scalar lane off the committed state, dirty
-        // registers substituted in — exactly like a watch wake, plus
+        // (4b) Parked stuck-ats on a counter or outside the quiet set
+        // stay in provable lockstep only while golden's bit agrees with
+        // the stuck value (the watch condition; their own flop is clean,
+        // so golden's bit is the faulty machine's); the cycle it
+        // first disagrees the overlay would smear a fresh diff, so the
+        // entry wakes into a scalar lane off the committed state,
+        // residue substituted in — exactly like a watch wake, plus
         // residue. (An entry parked by phase (3) this very cycle was
         // verified agreeing against this same committed state, so the
-        // possibly stale `rf_nonrf_stuck` guard cannot miss a wake.)
-        if rf_nonrf_stuck > 0 && !rf_parked.is_empty() {
+        // possibly stale `lot_watched` guard cannot miss a wake.)
+        if lot_watched > 0 && !lot.is_empty() {
             let mut pi = 0;
-            while pi < rf_parked.len() {
-                let e = &rf_parked[pi];
-                if e.fault.kind == FaultKind::Transient || e.fault.flop.reg == rf_idx {
+            while pi < lot.len() {
+                let e = &lot[pi];
+                if e.fault.kind == FaultKind::Transient
+                    || e.fault.flop.reg == rf_idx
+                    || held_pair(e.fault, rf_idx) != 0
+                {
                     pi += 1;
                     continue;
                 }
@@ -651,8 +670,8 @@ pub fn run_batch_group(
                     pi += 1;
                     continue;
                 }
-                let entry = rf_parked.swap_remove(pi);
-                let mut st = rf_materialize(&entry, committed);
+                let entry = lot.swap_remove(pi);
+                let mut st = entry.residue.materialize(committed);
                 entry.fault.overlay(&mut st, at);
                 lanes.push(Lane {
                     cpu: Cpu::from_state(st),
@@ -662,7 +681,7 @@ pub fn run_batch_group(
                     reparks: entry.reparks,
                 });
                 cost.lane_activations += 1;
-                rf_stale = true;
+                lot_stale = true;
             }
         }
 
@@ -683,41 +702,38 @@ pub fn run_batch_group(
                 entry.outs.push(i);
                 continue;
             }
-            if let Some(entry) = rf_parked.iter_mut().find(|e| e.fault == f) {
+            if let Some(entry) = lot.iter_mut().find(|e| e.fault == f) {
                 entry.outs.push(i);
                 continue;
             }
-            // Faults striking a register-file flop park instantly: the
-            // strike *is* an RF-confined divergence by construction, so
-            // no lane is ever materialized for them.
-            if f.flop.reg == rf_idx {
+            // A transient striking a quiet flop parks instantly: the
+            // strike *is* a quiet-confined divergence by construction,
+            // so no lane is ever materialized for it. So does a stuck-at
+            // on a quiet flop other than a counter: phase (0) tracks its
+            // forced value through golden's register-file writes, or
+            // wakes it when its RAS entry or CSR is touched.
+            if let Some(bit) = quiet_bit(f.flop.reg, f.flop.lane) {
                 let lane = usize::from(f.flop.lane);
-                let g = committed.regs[lane];
-                let (fv, dirty) = if f.kind == FaultKind::Transient {
-                    if !layers.early_out {
-                        // fall through to a scalar lane below
-                        (0, None)
-                    } else {
-                        (g ^ 1 << f.flop.bit, Some(1u32 << f.flop.lane))
-                    }
-                } else if !layers.parked_lanes {
-                    (0, None)
+                let g = flops::registry()[usize::from(f.flop.reg)].read(committed, lane);
+                let faulty = if f.kind == FaultKind::Transient {
+                    layers.early_out.then_some(g ^ 1 << f.flop.bit)
+                } else if layers.parked_lanes && (f.flop.reg == rf_idx || held_pair(f, rf_idx) != 0)
+                {
+                    Some(forced(g, f.flop.bit, f.kind == FaultKind::StuckAt1))
                 } else {
-                    let fv = forced(g, f.flop.bit, f.kind == FaultKind::StuckAt1);
-                    (fv, Some(if fv == g { 0 } else { 1 << f.flop.lane }))
+                    None
                 };
-                if let Some(dirty) = dirty {
-                    let mut regs = committed.regs;
-                    regs[lane] = fv;
-                    rf_parked.push(RfParked {
+                if let Some(fv) = faulty {
+                    let mut residue = QuietResidue::default();
+                    residue.assign(bit, fv, g);
+                    lot.push(QuietParked {
                         fault: f,
                         outs: vec![i],
                         reparks: 0,
-                        dirty,
-                        regs,
+                        residue,
                         park_cycle: cycle,
                     });
-                    rf_stale = true;
+                    lot_stale = true;
                     continue;
                 }
             }
@@ -749,7 +765,7 @@ pub fn run_batch_group(
             cost.parked_masked += entry.outs.len() as u64;
         }
     }
-    for entry in &rf_parked {
+    for entry in &lot {
         let n = entry.outs.len() as u64;
         if entry.fault.kind == FaultKind::Transient {
             cost.masked_early_out += n;
@@ -762,9 +778,9 @@ pub fn run_batch_group(
 }
 
 /// Per-core batched-engine capability. The accelerator layers (dirty-
-/// set early-out, register-file parking, bit-parallel watches) are
-/// proofs about the LR5 microstructure — its single-read-site register
-/// file and decodable write-back — so only [`Cpu`] runs them. Other
+/// set early-out, quiet parking, bit-parallel watches) are proofs about
+/// the LR5 microstructure — its few decodable read and write sites of
+/// quiet state — so only [`Cpu`] runs them. Other
 /// cores clamp to the core-agnostic fan-out substrate, which is still
 /// byte-identical to their scalar engines (the outcome of a batched
 /// group never depends on the layer set).
@@ -981,6 +997,35 @@ mod tests {
         }
         assert_eq!(BatchConfig::from_flag("off"), Some(None));
         assert_eq!(BatchConfig::from_flag("warp"), None);
+    }
+
+    #[test]
+    fn latent_ras_and_csr_transients_park_for_free() {
+        // rspeed never calls, returns or touches scratch0, so a flip in
+        // a RAS entry or in scratch0 is latent to the end of the trace.
+        // It must park at admission: the group costs the walker's own
+        // cycles plus at most one step, not a lane stepped to the end.
+        let w = lockstep_workloads::Workload::find("rspeed").unwrap();
+        let cap = w.golden_capture(5, 400_000, 4096);
+        let regs = flops::registry();
+        let flop = |name: &str, lane: u16, bit: u8| {
+            let reg = regs.iter().position(|r| r.name == name).unwrap() as u16;
+            lockstep_cpu::FlopId { reg, lane, bit }
+        };
+        let strike = cap.run.cycles / 2;
+        for id in [flop("ras", 3, 5), flop("csr_scratch0", 0, 9)] {
+            let fault = Fault::new(id, FaultKind::Transient, strike);
+            let (outcomes, cost) =
+                run_batch_group(&cap.checkpoints, &cap.trace, &[fault], 8, BatchConfig::FULL);
+            assert_eq!(outcomes, vec![None], "{fault:?} must be masked");
+            assert_eq!(cost.masked_early_out, 1);
+            let walker = cap.trace.len() - cap.checkpoints.nearest_at(strike).unwrap().cycle;
+            assert!(
+                cost.replayed_cycles <= walker + 1,
+                "{fault:?} cost {} simulated cycles, walker alone {walker}",
+                cost.replayed_cycles
+            );
+        }
     }
 
     #[test]

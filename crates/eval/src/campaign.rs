@@ -569,11 +569,12 @@ pub(crate) struct WorkCounters {
 pub(crate) type Produced = (usize, ErrorRecord, Option<DivergenceTrace>);
 
 /// Canonicalizes worker output into the archive record order:
-/// grouped by workload in campaign order, then the stable per-workload
-/// sort the per-workload engine used. Traces ride along under the same
-/// key so `traces[i]` always describes `records[i]`. The order is a
-/// pure function of the record set, so any partition of a campaign into
-/// shards reassembles to the identical sequence.
+/// grouped by workload in campaign order, then sorted on every record
+/// field, the fault kind last. Traces ride along under the same key so
+/// `traces[i]` always describes `records[i]`. The order is a pure
+/// function of the record set — records equal on the key are equal —
+/// so any engine, thread count or partition of a campaign into shards
+/// produces the identical sequence.
 pub(crate) fn order_produced(
     workload_count: usize,
     produced: Vec<Produced>,
@@ -587,11 +588,12 @@ pub(crate) fn order_produced(
     let mut traces = Vec::new();
     for produced in &mut grouped {
         produced.sort_by(|(a, _), (b, _)| {
-            (a.inject_cycle, a.detect_cycle, a.unit_index, a.dsr).cmp(&(
+            (a.inject_cycle, a.detect_cycle, a.unit_index, a.dsr, a.fault as u8).cmp(&(
                 b.inject_cycle,
                 b.detect_cycle,
                 b.unit_index,
                 b.dsr,
+                b.fault as u8,
             ))
         });
         for (record, trace) in produced.drain(..) {
@@ -1897,6 +1899,26 @@ pub fn flop_count() -> u32 {
 mod tests {
     use super::*;
     use lockstep_fault::FaultKind;
+
+    #[test]
+    fn record_order_does_not_depend_on_production_order() {
+        // Two records equal on everything but the fault kind: engines
+        // and thread counts produce them in either order, and the
+        // archive order must not follow.
+        let record = |fault| ErrorRecord {
+            workload: "rspeed".to_owned(),
+            unit_index: 3,
+            fault,
+            inject_cycle: 1117,
+            detect_cycle: 1127,
+            dsr: Dsr::from_bits(41_975_808),
+        };
+        let a = record(lockstep_core::log::FaultKindRepr::Transient);
+        let b = record(lockstep_core::log::FaultKindRepr::StuckAt1);
+        let (forward, _) = order_produced(1, vec![(0, a.clone(), None), (0, b.clone(), None)]);
+        let (backward, _) = order_produced(1, vec![(0, b, None), (0, a, None)]);
+        assert_eq!(forward, backward);
+    }
 
     fn tiny_config() -> CampaignConfig {
         CampaignConfig {

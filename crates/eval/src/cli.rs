@@ -123,7 +123,9 @@ impl CommonArgs {
                         if let Some(spec) = name.strip_prefix("fuzz:") {
                             let spec = fuzz::FuzzSpec::parse(spec).unwrap_or_else(|| {
                                 die(&format!(
-                                    "bad fuzz spec `{name}` (expected fuzz:<seed>[:<count>])"
+                                    "bad fuzz spec `{name}` (expected fuzz:<seed>[:<count>], \
+                                     count 1..={})",
+                                    fuzz::MAX_FUZZ_COUNT
                                 ))
                             });
                             out.workloads.extend(spec.workloads());

@@ -109,7 +109,8 @@ pub enum SpecError {
     NoWorkloads,
     /// A workload name matches nothing in the compiled-in suite.
     UnknownWorkload(String),
-    /// A `fuzz:` token does not parse as `fuzz:<seed>[:<count>]`.
+    /// A `fuzz:` token does not parse as `fuzz:<seed>[:<count>]` with
+    /// a count of at most [`fuzz::MAX_FUZZ_COUNT`].
     BadFuzzSpec(String),
     /// `faults_per_workload` is zero.
     ZeroFaults,
@@ -123,6 +124,8 @@ pub enum SpecError {
     UnknownRedundancy(String),
     /// The requested shard count is zero (job-level, service only).
     ZeroShards,
+    /// Workloads × faults per workload does not fit in a `u64`.
+    TooManyFaults,
 }
 
 impl SpecError {
@@ -139,6 +142,7 @@ impl SpecError {
             SpecError::UnknownCore(_) => "unknown_core",
             SpecError::UnknownRedundancy(_) => "unknown_redundancy",
             SpecError::ZeroShards => "zero_shards",
+            SpecError::TooManyFaults => "too_many_faults",
         }
     }
 }
@@ -148,9 +152,11 @@ impl std::fmt::Display for SpecError {
         match self {
             SpecError::NoWorkloads => write!(f, "job has no workloads"),
             SpecError::UnknownWorkload(w) => write!(f, "unknown workload `{w}`"),
-            SpecError::BadFuzzSpec(s) => {
-                write!(f, "bad fuzz spec `{s}` (expected fuzz:<seed>[:<count>])")
-            }
+            SpecError::BadFuzzSpec(s) => write!(
+                f,
+                "bad fuzz spec `{s}` (expected fuzz:<seed>[:<count>], count 1..={})",
+                fuzz::MAX_FUZZ_COUNT
+            ),
             SpecError::ZeroFaults => write!(f, "faults_per_workload must be at least 1"),
             SpecError::UnknownReplayMode(m) => write!(f, "unknown replay mode `{m}`"),
             SpecError::UnknownBatchMode(m) => write!(f, "unknown batch mode `{m}`"),
@@ -161,6 +167,7 @@ impl std::fmt::Display for SpecError {
                 write!(f, "unknown redundancy mode `{r}` (expected fixed, dynamic or dme)")
             }
             SpecError::ZeroShards => write!(f, "shards must be at least 1"),
+            SpecError::TooManyFaults => write!(f, "total fault count overflows a u64"),
         }
     }
 }
@@ -173,9 +180,11 @@ impl CampaignSpec {
     ///
     /// # Errors
     ///
-    /// Returns the first [`SpecError`] if the spec does not validate.
+    /// Returns the workload-resolution [`SpecError`], or
+    /// [`SpecError::TooManyFaults`] when the product overflows.
     pub fn total_faults(&self) -> Result<u64, SpecError> {
-        Ok(self.resolve_workloads()?.len() as u64 * self.faults_per_workload)
+        let workloads = self.resolve_workloads()?.len() as u64;
+        workloads.checked_mul(self.faults_per_workload).ok_or(SpecError::TooManyFaults)
     }
 
     /// Expands `fuzz:` and `lc:` tokens and resolves every workload
@@ -264,7 +273,7 @@ impl CampaignSpec {
     ///
     /// Returns the first failing field's [`SpecError`].
     pub fn validate(&self) -> Result<(), SpecError> {
-        self.resolve_workloads()?;
+        self.total_faults()?;
         if self.faults_per_workload == 0 {
             return Err(SpecError::ZeroFaults);
         }
@@ -406,6 +415,31 @@ mod tests {
 
         s.workloads = vec!["fuzz:bad:spec:extra".to_owned()];
         assert_eq!(s.resolve_workloads().unwrap_err().code(), "bad_fuzz_spec");
+    }
+
+    #[test]
+    fn fuzz_count_above_the_limit_is_refused() {
+        // The token is refused while parsing, before `FuzzSpec::workloads`
+        // generates (and interns) a single program.
+        let mut s = spec();
+        let token = format!("fuzz:7:{}", fuzz::MAX_FUZZ_COUNT + 1);
+        s.workloads = vec![token.clone()];
+        let err = s.validate().unwrap_err();
+        assert_eq!(err, SpecError::BadFuzzSpec(token));
+        assert!(err.to_string().contains(&fuzz::MAX_FUZZ_COUNT.to_string()));
+        s.workloads = vec!["fuzz:7:4294967296".to_owned()];
+        assert_eq!(s.validate().unwrap_err().code(), "bad_fuzz_spec");
+    }
+
+    #[test]
+    fn total_fault_overflow_is_a_typed_error() {
+        let mut s = spec();
+        s.faults_per_workload = u64::MAX / 2 + 1;
+        assert_eq!(s.total_faults(), Err(SpecError::TooManyFaults));
+        let err = s.validate().unwrap_err();
+        assert_eq!(err.code(), "too_many_faults");
+        s.faults_per_workload = u64::MAX / 2;
+        assert_eq!(s.total_faults(), Ok(u64::MAX - 1));
     }
 
     #[test]

@@ -130,6 +130,41 @@ proptest! {
     }
 }
 
+/// Quiet parking beyond the register file: on recursive compiled code —
+/// calls and returns push and pop every RAS entry — faults on each RAS
+/// entry, CSR and counter, of every kind, give exactly the scalar
+/// outcomes under every layer combination. (The hand-written kernels
+/// never call, so the RAS wake path needs a calling workload.)
+#[test]
+fn quiet_set_faults_match_scalar_replay_on_recursive_code() {
+    let cap = capture("lc_quicksort", 4096);
+    let regs = flops::registry();
+    let quiet: Vec<_> = ["ras", "csr_status", "csr_cause", "csr_epc", "csr_tvec"]
+        .into_iter()
+        .chain(["csr_scratch0", "csr_scratch1", "hartid", "cycle", "instret"])
+        .collect();
+    let mut faults = Vec::new();
+    for (i, id) in flops::all_flops()
+        .filter(|id| quiet.contains(&regs[id.reg as usize].name) && id.bit % 7 == 1)
+        .enumerate()
+    {
+        let kind = [FaultKind::Transient, FaultKind::StuckAt0, FaultKind::StuckAt1][i % 3];
+        faults.push(Fault::new(id, kind, cap.run.cycles * (i as u64 * 37 % 97) / 100));
+    }
+    assert!(faults.len() > 40, "too few quiet faults: {}", faults.len());
+    let scalar: Vec<_> = faults
+        .iter()
+        .map(|f| run_injection_from_checkpoint(&cap.checkpoints, &cap.trace, *f, 8).0)
+        .collect();
+    assert!(scalar.iter().any(Option::is_some), "no quiet fault manifested");
+    for layers in ALL_LAYERS {
+        let (batched, _) = run_batch_group(&cap.checkpoints, &cap.trace, &faults, 8, layers);
+        for ((f, b), s) in faults.iter().zip(&batched).zip(&scalar) {
+            assert_eq!(b, s, "`{}` diverged from scalar replay for {f:?}", layers.label());
+        }
+    }
+}
+
 proptest! {
     // Whole campaigns are expensive; a handful of sampled
     // (seed, faults, interval, threads) points on top of the exhaustive

@@ -62,9 +62,15 @@ pub struct FuzzSpec {
 /// Default program count when `fuzz:<seed>` gives none.
 pub const DEFAULT_FUZZ_COUNT: u32 = 8;
 
+/// Largest program count a `fuzz:<seed>:<count>` token may ask for.
+/// Every generated program is interned for the life of the process, so
+/// an unbounded count would let one campaign request exhaust memory.
+pub const MAX_FUZZ_COUNT: u32 = 1024;
+
 impl FuzzSpec {
     /// Parses the argument of a `fuzz:` workload token:
-    /// `"42"` or `"42:16"`.
+    /// `"42"` or `"42:16"`. The count must lie in
+    /// `1..=`[`MAX_FUZZ_COUNT`]; nothing is generated here.
     pub fn parse(arg: &str) -> Option<FuzzSpec> {
         let (seed, count) = match arg.split_once(':') {
             Some((s, c)) => (s, Some(c)),
@@ -72,7 +78,7 @@ impl FuzzSpec {
         };
         let seed = seed.parse().ok()?;
         let count = match count {
-            Some(c) => c.parse().ok().filter(|&n| n > 0)?,
+            Some(c) => c.parse().ok().filter(|n| (1..=MAX_FUZZ_COUNT).contains(n))?,
             None => DEFAULT_FUZZ_COUNT,
         };
         Some(FuzzSpec { seed, count })
@@ -371,6 +377,10 @@ mod tests {
         assert_eq!(FuzzSpec::parse("42"), Some(FuzzSpec { seed: 42, count: DEFAULT_FUZZ_COUNT }));
         assert_eq!(FuzzSpec::parse("42:16"), Some(FuzzSpec { seed: 42, count: 16 }));
         assert_eq!(FuzzSpec::parse("42:0"), None);
+        let max = format!("42:{MAX_FUZZ_COUNT}");
+        assert_eq!(FuzzSpec::parse(&max), Some(FuzzSpec { seed: 42, count: MAX_FUZZ_COUNT }));
+        assert_eq!(FuzzSpec::parse(&format!("42:{}", MAX_FUZZ_COUNT + 1)), None);
+        assert_eq!(FuzzSpec::parse("42:4294967295"), None);
         assert_eq!(FuzzSpec::parse("x"), None);
         let ws = FuzzSpec { seed: 5, count: 3 }.workloads();
         assert_eq!(ws.len(), 3);
