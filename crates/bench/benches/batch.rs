@@ -35,10 +35,9 @@ fn config(batch: Option<BatchConfig>) -> CampaignConfig {
         checkpoint_interval: Some(4096),
         events: None,
         trace_window: None,
-        replay_mode: Default::default(),
-        cpus: 2,
         batch,
         core: lockstep_cpu::CoreKind::Lr5,
+        redundancy: lockstep_core::RedundancyMode::Fixed,
     }
 }
 

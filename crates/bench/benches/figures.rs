@@ -31,10 +31,9 @@ fn campaign() -> &'static CampaignResult {
             checkpoint_interval: Some(4096),
             events: None,
             trace_window: None,
-            replay_mode: Default::default(),
-            cpus: 2,
             batch: None,
             core: lockstep_cpu::CoreKind::Lr5,
+            redundancy: lockstep_core::RedundancyMode::Fixed,
         })
     })
 }
@@ -54,10 +53,9 @@ fn bench_campaign_engine(c: &mut Criterion) {
                 checkpoint_interval: Some(4096),
                 events: None,
                 trace_window: None,
-                replay_mode: Default::default(),
-                cpus: 2,
                 batch: None,
                 core: lockstep_cpu::CoreKind::Lr5,
+                redundancy: lockstep_core::RedundancyMode::Fixed,
             }))
         })
     });

@@ -14,7 +14,7 @@
 //!   (Figure 1a): every CPU drives its own private copy of the memory
 //!   system, so a faulty CPU cannot contaminate the inputs of the
 //!   fault-free ones. This is the reference model the campaign's
-//!   full-lockstep replay mode simulates, and the model under which a
+//!   live-twin replay oracle simulates, and the model under which a
 //!   fault-free CPU's ports are a pure function of the workload — the
 //!   fact [`ShadowLockstep`](crate::ShadowLockstep) exploits.
 

@@ -23,7 +23,7 @@
 //!   checkpoint re-sync recovery;
 //! * [`shadow`] — the shadow-golden harness: one live CPU checked
 //!   against a recorded golden port trace, the semantics behind the
-//!   campaign engine's fast replay mode;
+//!   campaign engine's shadow replay;
 //! * [`log`] — the lockstep error data logging of Figure 7.
 //!
 //! # Example

@@ -87,7 +87,7 @@ fn arb_fault() -> impl Strategy<Value = Fault> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// The property behind the campaign's shadow replay mode: per-cycle
+    /// The property behind the campaign's shadow replay: per-cycle
     /// event equality between the trace-fed harness and the live
     /// replicated-memory DMR system, with the fault in CPU 0.
     #[test]

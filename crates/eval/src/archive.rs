@@ -176,12 +176,16 @@ impl From<serde_json::Error> for ArchiveError {
 /// or diverse-memory execution; v10 adds the optional `lc` compiler
 /// provenance block now that campaigns can run LC kernels compiled by
 /// `lockstep-cc` (which compiler version built them, and which
-/// kernels).
-pub const ARCHIVE_VERSION: u32 = 10;
+/// kernels); v11 drops `replay_mode` from the stats block and from shard
+/// provenance now that every campaign replays against the recorded
+/// golden trace (the label never changed a record), so a v10 reader
+/// refuses v11 shards with a version error instead of failing on the
+/// missing field.
+pub const ARCHIVE_VERSION: u32 = 11;
 
 /// Oldest format version [`CampaignArchive::load`] still accepts. v2
-/// files simply have no trace blobs, pre-v4 stats blocks default to
-/// shadow replay (the only mode that existed before v4), pre-v5 files
+/// files simply have no trace blobs, the `replay_mode` label of v4–v10
+/// stats and shard blocks is ignored, pre-v5 files
 /// default to no fuzz provenance, pre-v6 stats blocks default to
 /// batch mode `"off"` (the scalar engines were all that existed),
 /// pre-v7 files default to no shard provenance (they are complete
@@ -342,6 +346,18 @@ mod tests {
     use lockstep_cpu::CoreKind;
     use lockstep_workloads::Workload;
 
+    /// `json` as a v4–v10 writer produced it: the stats block carried a
+    /// `replay_mode` label (and so did shard provenance, when present).
+    /// `"lockstep"` is the label the reader must not depend on.
+    fn with_replay_mode(json: &str) -> String {
+        let label = "\"replay_mode\":\"lockstep\",";
+        json.replacen("\"stats\":{", &format!("\"stats\":{{{label}"), 1).replacen(
+            "\"shard\":{",
+            &format!("\"shard\":{{{label}"),
+            1,
+        )
+    }
+
     fn small_result() -> CampaignResult {
         run_campaign(&CampaignConfig {
             workloads: vec![Workload::find("idctrn").unwrap()],
@@ -352,8 +368,6 @@ mod tests {
             checkpoint_interval: Some(1024),
             events: None,
             trace_window: None,
-            replay_mode: Default::default(),
-            cpus: 2,
             batch: None,
             core: CoreKind::Lr5,
             redundancy: RedundancyMode::Fixed,
@@ -397,8 +411,6 @@ mod tests {
             checkpoint_interval: Some(1024),
             events: None,
             trace_window: None,
-            replay_mode: Default::default(),
-            cpus: 2,
             batch: None,
             core: CoreKind::Lr5,
             redundancy: RedundancyMode::Fixed,
@@ -460,70 +472,6 @@ mod tests {
     }
 
     #[test]
-    fn pre_v4_stats_without_replay_mode_defaults_to_shadow() {
-        // v2/v3 writers predate replay modes: their stats block has no
-        // `replay_mode` field. Those runs were all shadow replays.
-        #[derive(Serialize)]
-        struct StatsV3 {
-            checkpoint_interval: u64,
-            injected: u64,
-            manifested: u64,
-            masked: u64,
-            golden_nanos: u64,
-            injection_nanos: u64,
-            wall_nanos: u64,
-            injections_per_sec: f64,
-            per_workload: Vec<crate::campaign::WorkloadStats>,
-        }
-        #[derive(Serialize)]
-        struct ArchiveV3 {
-            version: u32,
-            records: Vec<ErrorRecord>,
-            injected: usize,
-            injected_per_unit: Vec<[u64; 2]>,
-            golden: Vec<(String, GoldenRunRepr)>,
-            stats: StatsV3,
-            traces: Vec<Option<lockstep_obs::DivergenceTrace>>,
-        }
-        let result = small_result();
-        let s = &result.stats;
-        let v3 = ArchiveV3 {
-            version: 3,
-            records: result.records.clone(),
-            injected: result.injected,
-            injected_per_unit: result.injected_per_unit.clone(),
-            golden: vec![(
-                "idctrn".to_owned(),
-                GoldenRunRepr {
-                    cycles: result.golden[0].1.cycles,
-                    output_checksum: result.golden[0].1.output_checksum,
-                    instructions: result.golden[0].1.instructions,
-                },
-            )],
-            stats: StatsV3 {
-                checkpoint_interval: s.checkpoint_interval,
-                injected: s.injected,
-                manifested: s.manifested,
-                masked: s.masked,
-                golden_nanos: s.golden_nanos,
-                injection_nanos: s.injection_nanos,
-                wall_nanos: s.wall_nanos,
-                injections_per_sec: s.injections_per_sec,
-                per_workload: s.per_workload.clone(),
-            },
-            traces: Vec::new(),
-        };
-        let dir = std::env::temp_dir().join("lockstep_archive_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("v3_compat.json");
-        std::fs::write(&path, serde_json::to_string(&v3).unwrap()).unwrap();
-        let loaded = CampaignArchive::load(&path).expect("v4 reader must accept v3 files");
-        assert_eq!(loaded.stats.replay_mode, "shadow");
-        assert_eq!(loaded.stats.injected, s.injected);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn v4_archive_without_fuzz_provenance_still_loads() {
         // A v4 writer serialized everything except the `fuzz` field.
         #[derive(Serialize)]
@@ -556,7 +504,7 @@ mod tests {
         let dir = std::env::temp_dir().join("lockstep_archive_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("v4_compat.json");
-        std::fs::write(&path, serde_json::to_string(&v4).unwrap()).unwrap();
+        std::fs::write(&path, with_replay_mode(&serde_json::to_string(&v4).unwrap())).unwrap();
         let loaded = CampaignArchive::load(&path).expect("v5 reader must accept v4 files");
         assert_eq!(loaded.version, 4);
         assert!(loaded.fuzz.is_empty(), "pre-v5 files default to no fuzz provenance");
@@ -610,7 +558,7 @@ mod tests {
             )],
             stats: StatsV5 {
                 checkpoint_interval: s.checkpoint_interval,
-                replay_mode: s.replay_mode.clone(),
+                replay_mode: "lockstep".to_owned(),
                 injected: s.injected,
                 manifested: s.manifested,
                 masked: s.masked,
@@ -673,7 +621,7 @@ mod tests {
         let dir = std::env::temp_dir().join("lockstep_archive_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("v6_compat.json");
-        std::fs::write(&path, serde_json::to_string(&v6).unwrap()).unwrap();
+        std::fs::write(&path, with_replay_mode(&serde_json::to_string(&v6).unwrap())).unwrap();
         let loaded = CampaignArchive::load(&path).expect("v7 reader must accept v6 files");
         assert_eq!(loaded.version, 6);
         assert!(loaded.shard.is_none(), "pre-v7 files are complete single-shot archives");
@@ -748,7 +696,7 @@ mod tests {
             )],
             stats: StatsV7 {
                 checkpoint_interval: s.checkpoint_interval,
-                replay_mode: s.replay_mode.clone(),
+                replay_mode: "lockstep".to_owned(),
                 injected: s.injected,
                 manifested: s.manifested,
                 masked: s.masked,
@@ -776,7 +724,7 @@ mod tests {
                 capture_window: 8,
                 checkpoint_interval: 1024,
                 trace_window: 0,
-                replay_mode: "shadow".to_owned(),
+                replay_mode: "lockstep".to_owned(),
                 batch_mode: "off".to_owned(),
             }),
         };
@@ -862,7 +810,7 @@ mod tests {
             stats: StatsV8 {
                 checkpoint_interval: s.checkpoint_interval,
                 core: s.core.clone(),
-                replay_mode: s.replay_mode.clone(),
+                replay_mode: "lockstep".to_owned(),
                 injected: s.injected,
                 manifested: s.manifested,
                 masked: s.masked,
@@ -891,7 +839,7 @@ mod tests {
                 checkpoint_interval: 1024,
                 trace_window: 0,
                 core: "lr5".to_owned(),
-                replay_mode: "shadow".to_owned(),
+                replay_mode: "lockstep".to_owned(),
                 batch_mode: "off".to_owned(),
             }),
         };
@@ -945,10 +893,31 @@ mod tests {
         let dir = std::env::temp_dir().join("lockstep_archive_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("v9_compat.json");
-        std::fs::write(&path, serde_json::to_string(&v9).unwrap()).unwrap();
+        std::fs::write(&path, with_replay_mode(&serde_json::to_string(&v9).unwrap())).unwrap();
         let loaded = CampaignArchive::load(&path).expect("v10 reader must accept v9 files");
         assert_eq!(loaded.version, 9);
         assert!(loaded.lc.is_none(), "pre-v10 files default to no compiler provenance");
+        assert_eq!(loaded.records, result.records);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn v10_archive_with_a_replay_mode_label_still_loads() {
+        // A v10 writer produced the current shape plus a `replay_mode`
+        // label in the stats block. The label never selected anything
+        // that reached a record, so the reader ignores it.
+        let result = small_result();
+        let mut v10 = CampaignArchive::from_result(&result);
+        v10.version = 10;
+        let json = with_replay_mode(&serde_json::to_string(&v10).unwrap());
+        assert!(json.contains("\"replay_mode\":\"lockstep\""));
+        let dir = std::env::temp_dir().join("lockstep_archive_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("v10_compat.json");
+        std::fs::write(&path, json).unwrap();
+        let loaded = CampaignArchive::load(&path).expect("v11 reader must accept v10 files");
+        assert_eq!(loaded.version, 10);
+        assert_eq!(loaded.stats, result.stats);
         assert_eq!(loaded.records, result.records);
         std::fs::remove_file(&path).ok();
     }
@@ -967,8 +936,6 @@ mod tests {
             checkpoint_interval: Some(1024),
             events: None,
             trace_window: None,
-            replay_mode: Default::default(),
-            cpus: 2,
             batch: None,
             core: CoreKind::Lr5,
             redundancy: RedundancyMode::Fixed,
@@ -1004,8 +971,6 @@ mod tests {
             checkpoint_interval: Some(1024),
             events: None,
             trace_window: None,
-            replay_mode: Default::default(),
-            cpus: 2,
             batch: None,
             core: CoreKind::Lr5,
             redundancy: RedundancyMode::Fixed,

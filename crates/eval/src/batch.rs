@@ -50,12 +50,10 @@
 //!    value, so the fault stays parked until that register is read
 //!    rather than waking on every bit flip.
 //!
-//! The walker doubles as the live golden twin: in shadow replay terms
-//! it re-produces the recorded [`PortTrace`] (debug-asserted every
-//! cycle), in lockstep terms it *is* the fault-free twin the lanes are
-//! compared against. Either way the per-cycle comparison values are
-//! identical, which is why one batched engine serves both replay modes
-//! and produces archives byte-identical to the scalar engines
+//! The walker doubles as the live golden twin: it re-produces the
+//! recorded [`PortTrace`] (debug-asserted every cycle), so it *is* the
+//! fault-free twin the lanes are compared against, and the batched
+//! engine produces archives byte-identical to the scalar engine
 //! (`tests/batch_equivalence.rs`).
 
 use lockstep_core::Dsr;
@@ -129,9 +127,7 @@ impl BatchConfig {
 ///
 /// Unlike the scalar [`ReplayCost`](crate::campaign::ReplayCost),
 /// `replayed_cycles` counts machines actually stepped — walker, lanes,
-/// and capture-window steps — regardless of replay mode (the walker
-/// serves as the golden twin, so lockstep replay costs no extra
-/// simulation in batch mode).
+/// and capture-window steps.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BatchCost {
     /// CPU-cycles actually simulated (walker + lanes + capture).

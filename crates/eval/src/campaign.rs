@@ -18,36 +18,30 @@
 //!   nor diverge, and the engine skips both the overlay and the
 //!   golden-trace comparison until the injection cycle.
 //!
-//! # Replay modes
+//! # Shadow-golden replay
 //!
-//! On top of the checkpoint choice, [`ReplayMode`] selects what the
-//! faulty CPU is compared against each replayed cycle:
-//!
-//! * [`ReplayMode::Shadow`] (the default) — the recorded golden
-//!   [`PortTrace`] from the single golden pass. One CPU and one memory
-//!   clone per injection.
-//! * [`ReplayMode::Lockstep`] — live fault-free golden-twin CPUs, each
-//!   with its own clone of the checkpoint memory (board-level lockstep,
-//!   the paper's Figure 1a). N CPUs and N memory clones per injection.
-//!
-//! The two are bit-identical: under replicated memory a fault-free twin
-//! restored from the same snapshot deterministically re-produces the
-//! recorded trace, so comparing against the recording *is* comparing
-//! against the twin. The differential suite
-//! (`crates/eval/tests/replay_equivalence.rs`) asserts byte-identical
-//! archives across modes; shadow mode simply skips re-simulating the
-//! machine half whose behaviour is already known.
+//! Each replayed cycle compares the faulty CPU against the recorded
+//! golden [`PortTrace`] from the single golden pass: one CPU and one
+//! memory clone per injection. This is bit-identical to board-level
+//! lockstep against live fault-free golden twins (the paper's Figure
+//! 1a): a fault-free twin restored from the same snapshot over the same
+//! memory image deterministically re-produces the recorded trace, so
+//! comparing against the recording *is* comparing against the twin.
+//! The twin survives only as a test oracle (`campaign/replay_oracle.rs`
+//! runs every planned fault against the recording and against one and
+//! two live twins); shadow replay simply skips re-simulating the machine
+//! half whose behaviour is already known.
 //!
 //! # Batch mode
 //!
-//! Orthogonally to the replay mode, [`CampaignConfig::batch`] swaps the
-//! per-fault scalar replay for the batched engine of [`crate::batch`]:
-//! every fault restoring from the same checkpoint shares one fault-free
-//! walker replay, transients retire the moment their dirty set empties,
-//! and agreeing stuck-ats wait in bit-parallel watch masks at zero
-//! simulation cost. Outcomes are bit-identical to the scalar engines in
-//! either replay mode (`tests/batch_equivalence.rs` asserts
-//! byte-identical archives), so batch mode is purely a throughput knob.
+//! [`CampaignConfig::batch`] swaps the per-fault scalar replay for the
+//! batched engine of [`crate::batch`]: every fault restoring from the
+//! same checkpoint shares one fault-free walker replay, transients
+//! retire the moment their dirty set empties, and agreeing stuck-ats
+//! wait in bit-parallel watch masks at zero simulation cost. Outcomes
+//! are bit-identical to the scalar engine (`tests/batch_equivalence.rs`
+//! asserts byte-identical archives), so batch mode is purely a
+//! throughput knob.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -79,46 +73,6 @@ pub const DEFAULT_TRACE_WINDOW: u32 = 64;
 /// Default golden-run checkpoint spacing (re-exported from the
 /// workloads crate so campaign callers need only one import).
 pub const DEFAULT_CHECKPOINT_INTERVAL: u64 = lockstep_workloads::DEFAULT_CHECKPOINT_INTERVAL;
-
-/// What the faulty CPU is compared against during injection replay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReplayMode {
-    /// Shadow-golden replay (the default): step only the faulty CPU and
-    /// feed the checker the recorded golden port trace. Costs one CPU
-    /// and one memory clone per injection.
-    #[default]
-    Shadow,
-    /// Full lockstep replay: step the faulty CPU *and* live fault-free
-    /// golden-twin CPUs, each driving its own clone of the checkpoint
-    /// memory (board-level lockstep, Figure 1a). The semantics anchor
-    /// shadow mode is differentially tested against; roughly 2x the
-    /// simulation work in DMR.
-    Lockstep,
-}
-
-impl ReplayMode {
-    /// Canonical flag/stat spelling (`"shadow"` / `"lockstep"`).
-    pub fn label(self) -> &'static str {
-        match self {
-            ReplayMode::Shadow => "shadow",
-            ReplayMode::Lockstep => "lockstep",
-        }
-    }
-
-    /// Parses a `--replay-mode` flag value.
-    pub fn from_flag(s: &str) -> Option<ReplayMode> {
-        match s {
-            "shadow" => Some(ReplayMode::Shadow),
-            "lockstep" => Some(ReplayMode::Lockstep),
-            _ => None,
-        }
-    }
-
-    /// `true` for [`ReplayMode::Lockstep`].
-    pub fn is_lockstep(self) -> bool {
-        self == ReplayMode::Lockstep
-    }
-}
 
 /// Campaign parameters.
 #[derive(Debug, Clone)]
@@ -153,15 +107,6 @@ pub struct CampaignConfig {
     /// injection path (`checkpoint_interval` set); with checkpointing
     /// off the option is ignored.
     pub trace_window: Option<u32>,
-    /// What injection replays compare the faulty CPU against (default:
-    /// [`ReplayMode::Shadow`]). See [`CampaignConfig::effective_replay_mode`]
-    /// for the N>2 fallback.
-    pub replay_mode: ReplayMode,
-    /// Redundant CPUs per lockstep unit (default 2, the paper's DCLS).
-    /// Shadow replay is inherently DMR — one live CPU against one
-    /// recorded twin — so configurations with more CPUs fall back to
-    /// full lockstep replay.
-    pub cpus: usize,
     /// Batched fault simulation: `Some(layers)` runs the batched engine
     /// of [`crate::batch`] with the given layer combination instead of
     /// one scalar replay per fault; `None` (the default) keeps the
@@ -199,26 +144,9 @@ impl CampaignConfig {
             checkpoint_interval: Some(DEFAULT_CHECKPOINT_INTERVAL),
             events: None,
             trace_window: None,
-            replay_mode: ReplayMode::default(),
-            cpus: 2,
             batch: None,
             core: CoreKind::default(),
             redundancy: RedundancyMode::default(),
-        }
-    }
-
-    /// The replay mode the engine will actually use: the configured one,
-    /// except that shadow requests with more than two CPUs fall back to
-    /// full lockstep replay (shadow is DMR-only — a recorded trace
-    /// cannot stand in for several live twins in a majority vote).
-    /// For a single fault the records are identical either way: all
-    /// fault-free twins agree, so the majority compare degenerates to
-    /// the DMR pairwise compare.
-    pub fn effective_replay_mode(&self) -> ReplayMode {
-        if self.cpus > 2 {
-            ReplayMode::Lockstep
-        } else {
-            self.replay_mode
         }
     }
 
@@ -297,11 +225,11 @@ impl WorkloadStats {
 /// Whole-campaign throughput instrumentation.
 ///
 /// `Deserialize` is written by hand so that fields added after archives
-/// of this struct already existed are optional on read: `replay_mode`
-/// defaults to shadow (files that predate it were produced by the
-/// recorded-trace path) and the batch-mode fields default to `"off"` /
-/// zero (files that predate them were produced by the scalar per-fault
-/// engines).
+/// of this struct already existed are optional on read: the batch-mode
+/// fields default to `"off"` / zero (files that predate them were
+/// produced by the scalar per-fault engines). The `replay_mode` label
+/// that v4–v10 files carry is ignored: every campaign replays against
+/// the recorded golden trace now, and the label never changed a record.
 #[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct CampaignStats {
     /// Checkpoint spacing used, or 0 if checkpointing was disabled.
@@ -312,9 +240,6 @@ pub struct CampaignStats {
     /// Redundancy mode label of the producing run (`"fixed"` /
     /// `"dynamic"` / `"dme"`; see [`RedundancyMode::label`]).
     pub redundancy: String,
-    /// Replay mode label of the producing run (`"shadow"` /
-    /// `"lockstep"`; see [`ReplayMode::label`]).
-    pub replay_mode: String,
     /// Total faults injected.
     pub injected: u64,
     /// Faults that manifested as detected errors.
@@ -365,12 +290,6 @@ impl Deserialize for CampaignStats {
                 Ok(v) => Deserialize::deserialize(v)?,
                 Err(_) => RedundancyMode::Fixed.label().to_owned(),
             },
-            replay_mode: match value.field("replay_mode") {
-                Ok(v) => Deserialize::deserialize(v)?,
-                // Archives that predate the field were produced by the
-                // recorded-trace path — shadow replay by construction.
-                Err(_) => ReplayMode::Shadow.label().to_owned(),
-            },
             injected: Deserialize::deserialize(value.field("injected")?)?,
             manifested: Deserialize::deserialize(value.field("manifested")?)?,
             masked: Deserialize::deserialize(value.field("masked")?)?,
@@ -410,8 +329,7 @@ impl CampaignStats {
     /// split, injection rate, and per-workload replay/checkpoint cost.
     pub fn render(&self) -> String {
         let mut out = format!(
-            "== Campaign throughput (core: {}, redundancy: {}, checkpoint interval: {}, \
-             replay mode: {}) ==\n\n\
+            "== Campaign throughput (core: {}, redundancy: {}, checkpoint interval: {}) ==\n\n\
              {} injections ({} manifested, {} masked) at {:.0} injections/sec\n\
              golden capture {:.1} ms, injection phase {:.1} ms, total {:.1} ms\n\n",
             if self.core.is_empty() { "lr5" } else { &self.core },
@@ -421,7 +339,6 @@ impl CampaignStats {
             } else {
                 format!("{} cycles", self.checkpoint_interval)
             },
-            if self.replay_mode.is_empty() { "shadow" } else { &self.replay_mode },
             self.injected,
             self.manifested,
             self.masked,
@@ -587,21 +504,20 @@ pub(crate) fn order_produced(
     let mut records = Vec::new();
     let mut traces = Vec::new();
     for produced in &mut grouped {
-        produced.sort_by(|(a, _), (b, _)| {
-            (a.inject_cycle, a.detect_cycle, a.unit_index, a.dsr, a.fault as u8).cmp(&(
-                b.inject_cycle,
-                b.detect_cycle,
-                b.unit_index,
-                b.dsr,
-                b.fault as u8,
-            ))
-        });
+        produced.sort_by_key(|(record, _)| record_order_key(record));
         for (record, trace) in produced.drain(..) {
             records.push(record);
             traces.push(trace);
         }
     }
     (records, traces)
+}
+
+/// The archive's within-workload record order: every record field, the
+/// fault kind last. Shared by [`order_produced`] and the shard merge, so
+/// both produce the same sequence.
+pub(crate) fn record_order_key(r: &ErrorRecord) -> (u64, u64, u8, Dsr, u8) {
+    (r.inject_cycle, r.detect_cycle, r.unit_index, r.dsr, r.fault as u8)
 }
 
 /// Builds the per-workload throughput stats from the worker counters.
@@ -662,13 +578,10 @@ pub fn run_campaign(config: &CampaignConfig) -> CampaignResult {
 /// [`run_campaign`] monomorphized for core model `C`. The engine is a
 /// pure function of the [`CoreModel`] contracts — registry-driven fault
 /// plans, snapshot/restore checkpoints, overlay stepping, and the
-/// 62-SC port comparison — so every replay mode and the fan-out batch
+/// 62-SC port comparison — so the scalar engine and the fan-out batch
 /// layer work identically on any conforming core.
 pub fn run_campaign_for<C: CoreBatch>(config: &CampaignConfig) -> CampaignResult {
     let campaign_start = Instant::now();
-    let mode = config.effective_replay_mode();
-    assert!(config.cpus >= 2, "lockstep needs at least two CPUs");
-    emit_replay_mode_downgrade(config);
 
     let stim_seeds: Vec<u64> =
         (0..config.workloads.len()).map(|wi| config.seed ^ (wi as u64) << 32).collect();
@@ -736,7 +649,6 @@ pub fn run_campaign_for<C: CoreBatch>(config: &CampaignConfig) -> CampaignResult
         checkpoint_interval: config.checkpoint_interval.unwrap_or(0),
         core: C::NAME.to_owned(),
         redundancy: config.redundancy.label().to_owned(),
-        replay_mode: mode.label().to_owned(),
         injected: injected_total as u64,
         manifested: manifested_total,
         masked: injected_total as u64 - manifested_total,
@@ -834,213 +746,8 @@ pub(crate) fn run_golden_phase<C: CoreModel>(
     (captures, golden_nanos)
 }
 
-/// Phase 2 of a campaign or shard: injects every fault of
-/// `fault_sets[wi]` into `config.workloads[wi]`, pushing one
-/// [`Produced`] entry per manifested error into `sink`. Dispatches to
-/// the batched engine when [`CampaignConfig::effective_batch`] says so,
-/// otherwise to the flat scalar work queue shared by all worker
-/// threads. `stim_seeds[wi]` is only consulted by the from-reset path
-/// (checkpointing off).
-///
-/// Outcomes are a pure per-fault function, so any partition of a
-/// campaign's fault sets across calls — including the resumable shards
-/// of [`crate::shard`] — produces the same records.
-pub(crate) fn run_injection_phase<C: CoreBatch>(
-    config: &CampaignConfig,
-    captures: &[GoldenCapture<C::State>],
-    stim_seeds: &[u64],
-    fault_sets: &[Vec<Fault>],
-    counters: &[WorkCounters],
-    sink: &Mutex<Vec<Produced>>,
-) -> BatchCost {
-    let window = config.capture_window;
-    let mode = config.effective_replay_mode();
-    let mut offsets = Vec::with_capacity(fault_sets.len());
-    let mut injected_total = 0usize;
-    for set in fault_sets {
-        offsets.push(injected_total);
-        injected_total += set.len();
-    }
-    if config.redundancy == RedundancyMode::Dme {
-        return run_dme_phase::<C>(
-            config, captures, stim_seeds, fault_sets, counters, sink, window,
-        );
-    }
-    if let Some(layers) = config.effective_batch() {
-        let layers = C::clamp_layers(layers);
-        run_batch_phase::<C>(config, captures, fault_sets, counters, sink, layers, window)
-    } else {
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..config.threads.max(1) {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= injected_total {
-                            break;
-                        }
-                        let wi = match offsets.binary_search(&i) {
-                            Ok(w) => w,
-                            Err(w) => w - 1,
-                        };
-                        let workload = config.workloads[wi];
-                        let cap = &captures[wi];
-                        let fault = fault_sets[wi][i - offsets[wi]];
-                        let t0 = Instant::now();
-                        // Full lockstep replay always resumes from the golden
-                        // store (with checkpointing off only the mandatory
-                        // cycle-0 snapshot exists, i.e. replay-from-reset).
-                        let resumes = config.checkpoint_interval.is_some() || mode.is_lockstep();
-                        let (outcome, trace) = if resumes {
-                            let (outcome, trace, cost) = match (mode, config.trace_window) {
-                                // Tracing rides the checkpointed path only
-                                // (mirrored from shadow mode's contract).
-                                (ReplayMode::Shadow, Some(pre))
-                                    if config.checkpoint_interval.is_some() =>
-                                {
-                                    let (out, cost) = run_injection_traced_for::<C>(
-                                        &cap.checkpoints,
-                                        &cap.trace,
-                                        fault,
-                                        window,
-                                        pre,
-                                    );
-                                    let (outcome, trace) = split_traced(out);
-                                    (outcome, trace, cost)
-                                }
-                                (ReplayMode::Shadow, _) => {
-                                    let (out, cost) = run_injection_from_checkpoint_for::<C>(
-                                        &cap.checkpoints,
-                                        &cap.trace,
-                                        fault,
-                                        window,
-                                    );
-                                    (out, None, cost)
-                                }
-                                (ReplayMode::Lockstep, Some(pre))
-                                    if config.checkpoint_interval.is_some() =>
-                                {
-                                    let (out, cost) = run_injection_lockstep_traced_for::<C>(
-                                        &cap.checkpoints,
-                                        cap.run.cycles,
-                                        fault,
-                                        window,
-                                        pre,
-                                        config.cpus,
-                                    );
-                                    let (outcome, trace) = split_traced(out);
-                                    (outcome, trace, cost)
-                                }
-                                (ReplayMode::Lockstep, _) => {
-                                    let (out, cost) = run_injection_lockstep_for::<C>(
-                                        &cap.checkpoints,
-                                        cap.run.cycles,
-                                        fault,
-                                        window,
-                                        config.cpus,
-                                    );
-                                    (out, None, cost)
-                                }
-                            };
-                            let c = &counters[wi];
-                            c.replayed_cycles.fetch_add(cost.replayed_cycles, Ordering::Relaxed);
-                            c.skipped_cycles.fetch_add(cost.skipped_cycles, Ordering::Relaxed);
-                            if config.checkpoint_interval.is_some() {
-                                c.hit_distance_sum.fetch_add(cost.hit_distance, Ordering::Relaxed);
-                                c.hit_distance_max.fetch_max(cost.hit_distance, Ordering::Relaxed);
-                                if let Some(events) = &config.events {
-                                    // A fault past the golden runtime never restores
-                                    // a snapshot, so no hit to report for it.
-                                    if fault.cycle < cap.run.cycles {
-                                        events.emit(&Event::CheckpointHit {
-                                            workload: workload.name.to_owned(),
-                                            inject_cycle: fault.cycle,
-                                            checkpoint_cycle: cost.checkpoint_cycle,
-                                            hit_distance: cost.hit_distance,
-                                        });
-                                    }
-                                }
-                            }
-                            (outcome, trace)
-                        } else {
-                            let (out, cost) = run_injection_engine::<C, _, _>(
-                                ReplayStart::Reset { workload, stim_seed: stim_seeds[wi] },
-                                cap.trace.len(),
-                                fault,
-                                window,
-                                &mut NoObserver,
-                                |_, _| RecordedGolden { trace: &cap.trace },
-                            );
-                            counters[wi]
-                                .replayed_cycles
-                                .fetch_add(cost.replayed_cycles, Ordering::Relaxed);
-                            (out, None)
-                        };
-                        counters[wi].wall_nanos.fetch_add(elapsed_nanos(t0), Ordering::Relaxed);
-                        if let Some(events) = &config.events {
-                            events.emit(&Event::Inject {
-                                workload: workload.name.to_owned(),
-                                unit: fault.unit_for::<C>().name().to_owned(),
-                                fault: fault.describe_for::<C>(),
-                                cycle: fault.cycle,
-                            });
-                            match outcome {
-                                Some((detect_cycle, dsr)) => events.emit(&Event::Detect {
-                                    workload: workload.name.to_owned(),
-                                    inject_cycle: fault.cycle,
-                                    detect_cycle,
-                                    dsr_bits: dsr.bits(),
-                                }),
-                                None => events.emit(&Event::Masked {
-                                    workload: workload.name.to_owned(),
-                                    inject_cycle: fault.cycle,
-                                }),
-                            }
-                        }
-                        if let Some((detect_cycle, dsr)) = outcome {
-                            counters[wi].manifested.fetch_add(1, Ordering::Relaxed);
-                            local.push((
-                                wi,
-                                ErrorRecord {
-                                    workload: workload.name.to_owned(),
-                                    unit_index: fault.unit_for::<C>().index() as u8,
-                                    fault: fault.kind.into(),
-                                    inject_cycle: fault.cycle,
-                                    detect_cycle,
-                                    dsr,
-                                },
-                                trace,
-                            ));
-                        }
-                    }
-                    sink.lock().expect("no poisoned workers").extend(local);
-                });
-            }
-        });
-        BatchCost::default()
-    }
-}
-
 pub(crate) fn elapsed_nanos(since: Instant) -> u64 {
     u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// Announces the shadow→lockstep replay fallback on the event log when
-/// it applies ([`CampaignConfig::effective_replay_mode`] downgrades
-/// silently otherwise). Called by both the campaign and shard entry
-/// points, once per run.
-pub(crate) fn emit_replay_mode_downgrade(config: &CampaignConfig) {
-    let effective = config.effective_replay_mode();
-    if effective != config.replay_mode {
-        if let Some(events) = &config.events {
-            events.emit(&Event::ReplayModeDowngraded {
-                requested: config.replay_mode.label().to_owned(),
-                effective: effective.label().to_owned(),
-                cpus: config.cpus as u64,
-            });
-        }
-    }
 }
 
 /// Phase 2 in batch mode: each workload's faults are sorted by strike
@@ -1161,26 +868,102 @@ fn run_batch_phase<C: CoreBatch>(
     total.into_inner().expect("no poisoned workers")
 }
 
-/// Phase 2 under [`RedundancyMode::Dme`]: the scalar flat work queue
-/// with the retired-effect stream comparator in place of the per-cycle
-/// port diff. Each workload's golden retire stream is decoded from the
-/// recorded port trace once ([`retire_stream`]); every fault then
-/// replays the faulty copy over the **shifted** address space and
-/// checks its k-th retirement against golden entry k
-/// ([`run_injection_dme_for`]). Outcomes stay a pure per-fault
-/// function, so DME archives are thread-count and shard independent
-/// like every other mode's.
-fn run_dme_phase<C: CoreModel>(
+/// Phase 2 of a campaign or shard: injects every fault of
+/// `fault_sets[wi]` into `config.workloads[wi]`, pushing one
+/// [`Produced`] entry per manifested error into `sink`. Dispatches to
+/// the batched engine when [`CampaignConfig::effective_batch`] says so,
+/// otherwise to the flat scalar work queue shared by all worker
+/// threads, which replays each fault once against the recorded golden
+/// trace (or, under [`RedundancyMode::Dme`], against the golden retire
+/// stream). `stim_seeds[wi]` is only consulted by the from-reset path
+/// (checkpointing off).
+///
+/// Outcomes are a pure per-fault function, so any partition of a
+/// campaign's fault sets across calls — including the resumable shards
+/// of [`crate::shard`] — produces the same records.
+pub(crate) fn run_injection_phase<C: CoreBatch>(
     config: &CampaignConfig,
     captures: &[GoldenCapture<C::State>],
     stim_seeds: &[u64],
     fault_sets: &[Vec<Fault>],
     counters: &[WorkCounters],
     sink: &Mutex<Vec<Produced>>,
-    window: u32,
 ) -> BatchCost {
-    let retires: Vec<Vec<(u64, Retired)>> =
-        captures.iter().map(|cap| retire_stream(&cap.trace)).collect();
+    let window = config.capture_window;
+    if let Some(layers) = config.effective_batch() {
+        let layers = C::clamp_layers(layers);
+        return run_batch_phase::<C>(config, captures, fault_sets, counters, sink, layers, window);
+    }
+    let start = |wi: usize| match config.checkpoint_interval {
+        Some(_) => ReplayStart::Checkpoint(&captures[wi].checkpoints),
+        None => ReplayStart::Reset { workload: config.workloads[wi], stim_seed: stim_seeds[wi] },
+    };
+    if config.redundancy == RedundancyMode::Dme {
+        // Each workload's golden retire stream is decoded from the
+        // recorded port trace once; every fault then replays the faulty
+        // copy over the shifted address space against it.
+        let retires: Vec<Vec<(u64, Retired)>> =
+            captures.iter().map(|cap| retire_stream(&cap.trace)).collect();
+        return run_scalar_phase::<C>(config, captures, fault_sets, counters, sink, |wi, fault| {
+            let trace_len = captures[wi].trace.len();
+            let (outcome, cost) =
+                run_injection_dme_for::<C>(start(wi), &retires[wi], trace_len, fault, window);
+            (outcome, None, cost)
+        });
+    }
+    // Tracing rides the checkpointed path only (see
+    // [`CampaignConfig::trace_window`]).
+    let trace_window = config.checkpoint_interval.and(config.trace_window);
+    run_scalar_phase::<C>(config, captures, fault_sets, counters, sink, |wi, fault| {
+        let trace = &captures[wi].trace;
+        let golden = |_: &C::State, _: &lockstep_mem::Memory| RecordedGolden { trace };
+        match trace_window {
+            Some(pre) => {
+                let mut observer = TraceObserver::<C>::new(pre);
+                let (outcome, cost) = run_injection_engine::<C, _, _>(
+                    start(wi),
+                    trace.len(),
+                    fault,
+                    window,
+                    &mut observer,
+                    golden,
+                );
+                (outcome, outcome.map(|(cycle, _)| observer.finish(cycle, window)), cost)
+            }
+            None => {
+                let (outcome, cost) = run_injection_engine::<C, _, _>(
+                    start(wi),
+                    trace.len(),
+                    fault,
+                    window,
+                    &mut NoObserver,
+                    golden,
+                );
+                (outcome, None, cost)
+            }
+        }
+    })
+}
+
+/// The outcome of one scalar injection: detection cycle and DSR (or
+/// `None` if masked), the divergence trace when tracing, and the replay
+/// cost.
+type ScalarOutcome = (Option<(u64, Dsr)>, Option<DivergenceTrace>, ReplayCost);
+
+/// Phase 2 on the scalar per-fault engines: every (workload, fault)
+/// pair goes through one flat queue shared by all worker threads, so a
+/// long-running workload does not serialize the tail of the campaign
+/// behind a per-workload barrier. `inject(wi, fault)` replays one fault
+/// of workload `wi`; this function owns the counters, the event log and
+/// the record sink.
+fn run_scalar_phase<C: CoreModel>(
+    config: &CampaignConfig,
+    captures: &[GoldenCapture<C::State>],
+    fault_sets: &[Vec<Fault>],
+    counters: &[WorkCounters],
+    sink: &Mutex<Vec<Produced>>,
+    inject: impl Fn(usize, Fault) -> ScalarOutcome + Sync,
+) -> BatchCost {
     let mut offsets = Vec::with_capacity(fault_sets.len());
     let mut injected_total = 0usize;
     for set in fault_sets {
@@ -1202,30 +985,19 @@ fn run_dme_phase<C: CoreModel>(
                         Err(w) => w - 1,
                     };
                     let workload = config.workloads[wi];
-                    let cap = &captures[wi];
                     let fault = fault_sets[wi][i - offsets[wi]];
                     let t0 = Instant::now();
-                    let checkpointed = config.checkpoint_interval.is_some();
-                    let start = if checkpointed {
-                        ReplayStart::Checkpoint(&cap.checkpoints)
-                    } else {
-                        ReplayStart::Reset { workload, stim_seed: stim_seeds[wi] }
-                    };
-                    let (outcome, cost) = run_injection_dme_for::<C>(
-                        start,
-                        &retires[wi],
-                        cap.trace.len(),
-                        fault,
-                        window,
-                    );
+                    let (outcome, trace, cost) = inject(wi, fault);
                     let c = &counters[wi];
                     c.replayed_cycles.fetch_add(cost.replayed_cycles, Ordering::Relaxed);
                     c.skipped_cycles.fetch_add(cost.skipped_cycles, Ordering::Relaxed);
-                    if checkpointed {
+                    if config.checkpoint_interval.is_some() {
                         c.hit_distance_sum.fetch_add(cost.hit_distance, Ordering::Relaxed);
                         c.hit_distance_max.fetch_max(cost.hit_distance, Ordering::Relaxed);
                         if let Some(events) = &config.events {
-                            if fault.cycle < cap.run.cycles {
+                            // A fault past the golden runtime never restores
+                            // a snapshot, so no hit to report for it.
+                            if fault.cycle < captures[wi].run.cycles {
                                 events.emit(&Event::CheckpointHit {
                                     workload: workload.name.to_owned(),
                                     inject_cycle: fault.cycle,
@@ -1268,7 +1040,7 @@ fn run_dme_phase<C: CoreModel>(
                                 detect_cycle,
                                 dsr,
                             },
-                            None,
+                            trace,
                         ));
                     }
                 }
@@ -1378,18 +1150,6 @@ fn run_injection_dme_for<C: CoreModel>(
     (Some((detect_cycle, Dsr::from_bits(dsr_bits))), cost)
 }
 
-/// One injection experiment against the golden trace with a one-cycle
-/// DSR capture. Returns the detection cycle and DSR, or `None` if the
-/// fault was masked for the entire benchmark run.
-pub fn run_injection(
-    workload: &Workload,
-    stim_seed: u64,
-    golden_trace: &PortTrace,
-    fault: Fault,
-) -> Option<(u64, Dsr)> {
-    run_injection_windowed(workload, stim_seed, golden_trace, fault, 1)
-}
-
 /// One injection experiment with an explicit DSR capture window: after
 /// the first divergent cycle, per-SC divergences keep accumulating for
 /// up to `window - 1` further cycles (clamped to the golden trace).
@@ -1426,8 +1186,7 @@ pub struct ReplayCost {
     pub checkpoint_cycle: u64,
     /// Cycles replayed between the checkpoint and the injection cycle.
     pub hit_distance: u64,
-    /// CPU-cycles actually simulated for this injection (each golden
-    /// twin of a full-lockstep replay counts its own cycles).
+    /// Faulty-CPU cycles actually simulated for this injection.
     pub replayed_cycles: u64,
     /// Cycles a from-reset replay would have simulated but this one
     /// did not.
@@ -1435,12 +1194,11 @@ pub struct ReplayCost {
 }
 
 /// The golden reference an injection replay compares the faulty CPU
-/// against each cycle — either the recorded trace (shadow mode) or live
-/// fault-free twin CPUs (full-lockstep mode). Monomorphized into the
-/// replay engines, so shadow replay pays nothing for the abstraction.
+/// against each cycle. Campaigns use [`RecordedGolden`], the recorded
+/// trace; the unit tests substitute live fault-free twin CPUs through
+/// this seam (`campaign/replay_oracle.rs`). Monomorphized into the
+/// engine, so shadow replay pays nothing for the abstraction.
 trait GoldenRef {
-    /// CPUs simulated per replayed cycle (1 shadow, N full lockstep).
-    fn cpus_per_cycle(&self) -> u64;
     /// Advances the reference through one pre-fault cycle (no
     /// comparison needed: an exactly restored faulty core cannot
     /// diverge before the fault lands).
@@ -1450,68 +1208,16 @@ trait GoldenRef {
     fn diff_against(&mut self, cycle: u64, ports: &PortSet) -> u64;
 }
 
-/// Shadow mode's reference: the recorded golden port trace.
+/// The campaign's golden reference: the recorded golden port trace.
 struct RecordedGolden<'a> {
     trace: &'a PortTrace,
 }
 
 impl GoldenRef for RecordedGolden<'_> {
-    fn cpus_per_cycle(&self) -> u64 {
-        1
-    }
-
     fn advance(&mut self) {}
 
     fn diff_against(&mut self, cycle: u64, ports: &PortSet) -> u64 {
         ports.diff_mask(self.trace.get(cycle).expect("cycle within golden trace"))
-    }
-}
-
-/// Full-lockstep mode's reference: live fault-free golden-twin CPUs,
-/// each driving its own clone of the checkpoint memory (board-level
-/// lockstep, Figure 1a).
-struct TwinGolden<C: CoreModel = Cpu> {
-    twins: Vec<(C, lockstep_mem::Memory)>,
-}
-
-impl<C: CoreModel> TwinGolden<C> {
-    fn from_parts(state: &C::State, mem: &lockstep_mem::Memory, count: usize) -> TwinGolden<C> {
-        TwinGolden {
-            twins: (0..count).map(|_| (C::from_state(state.clone()), mem.clone())).collect(),
-        }
-    }
-}
-
-impl<C: CoreModel> GoldenRef for TwinGolden<C> {
-    fn cpus_per_cycle(&self) -> u64 {
-        1 + self.twins.len() as u64
-    }
-
-    fn advance(&mut self) {
-        let mut ports = PortSet::new();
-        for (cpu, mem) in &mut self.twins {
-            cpu.step(mem, &mut ports);
-        }
-    }
-
-    fn diff_against(&mut self, _cycle: u64, ports: &PortSet) -> u64 {
-        // Every twin is fault-free, drives a private memory, and resumed
-        // from the same snapshot, so all agree cycle-for-cycle
-        // (debug-asserted): the MMR majority compare against the faulty
-        // CPU degenerates to a pairwise diff with any one twin.
-        let mut first = PortSet::new();
-        let mut diff = 0u64;
-        for (i, (cpu, mem)) in self.twins.iter_mut().enumerate() {
-            let mut tp = PortSet::new();
-            cpu.step(mem, &mut tp);
-            if i == 0 {
-                diff = ports.diff_mask(&tp);
-                first = tp;
-            } else {
-                debug_assert_eq!(tp.diff_mask(&first), 0, "fault-free twins diverged");
-            }
-        }
-        diff
     }
 }
 
@@ -1608,14 +1314,14 @@ impl<C: CoreModel> ReplayObserver<C> for TraceObserver<C> {
     }
 }
 
-/// The single scalar injection engine behind every `run_injection*`
-/// wrapper: resolve the start (reset or nearest checkpoint),
+/// The single scalar injection engine behind the campaign's scalar path
+/// and both `run_injection*` wrappers: resolve the start (reset or
+/// nearest checkpoint),
 /// fast-forward fault-free to the injection cycle, then overlay-step
 /// against the golden reference until detection plus the capture
 /// window, or the end of the replay domain.
 ///
-/// Pre-fault cycles are replayed without comparison in every mode: the
-/// fault overlay is the identity before `fault.cycle`, and a
+/// Pre-fault cycles are replayed without comparison: the fault overlay is the identity before `fault.cycle`, and a
 /// deterministic CPU resumed exactly (or reset over the same memory
 /// image) cannot diverge from its own recording. A fault landing after
 /// the benchmark halts is masked by construction and skips the replay
@@ -1642,7 +1348,6 @@ fn run_injection_engine<C: CoreModel, G: GoldenRef, O: ReplayObserver<C>>(
         }
     };
     let mut golden = make_golden(cpu.state(), &mem);
-    let per_cycle = golden.cpus_per_cycle();
     let mut ports = PortSet::new();
     let mut cost = ReplayCost {
         checkpoint_cycle: start_cycle,
@@ -1656,7 +1361,7 @@ fn run_injection_engine<C: CoreModel, G: GoldenRef, O: ReplayObserver<C>>(
         cpu.step(&mut mem, &mut ports);
         golden.advance();
         cycle += 1;
-        cost.replayed_cycles += per_cycle;
+        cost.replayed_cycles += 1;
     }
 
     observer.begin(&cpu);
@@ -1666,7 +1371,7 @@ fn run_injection_engine<C: CoreModel, G: GoldenRef, O: ReplayObserver<C>>(
         }
         let at = cycle;
         cpu.step_with_overlay(&mut mem, &mut ports, |st| fault.overlay_for::<C>(st, at));
-        cost.replayed_cycles += per_cycle;
+        cost.replayed_cycles += 1;
         cycle += 1;
         let diff = golden.diff_against(at, &ports);
         observer.observe(at, diff, fault, &cpu);
@@ -1680,7 +1385,7 @@ fn run_injection_engine<C: CoreModel, G: GoldenRef, O: ReplayObserver<C>>(
         }
         let at = cycle;
         cpu.step_with_overlay(&mut mem, &mut ports, |st| fault.overlay_for::<C>(st, at));
-        cost.replayed_cycles += per_cycle;
+        cost.replayed_cycles += 1;
         cycle += 1;
         let diff = golden.diff_against(at, &ports);
         dsr_bits |= diff;
@@ -1690,7 +1395,7 @@ fn run_injection_engine<C: CoreModel, G: GoldenRef, O: ReplayObserver<C>>(
 }
 
 /// One injection experiment resumed from the nearest golden checkpoint
-/// at or before the injection cycle, in shadow mode. Bit-identical to
+/// at or before the injection cycle. Bit-identical to
 /// [`run_injection_windowed`] (see the campaign equivalence property
 /// test) at a cost proportional to `hit distance + detection latency +
 /// capture window` instead of `inject cycle + detection latency`.
@@ -1704,70 +1409,13 @@ pub fn run_injection_from_checkpoint(
     fault: Fault,
     window: u32,
 ) -> (Option<(u64, Dsr)>, ReplayCost) {
-    run_injection_from_checkpoint_for::<Cpu>(checkpoints, golden_trace, fault, window)
-}
-
-/// [`run_injection_from_checkpoint`] generic over the core model: the
-/// checkpoints must come from a golden capture of the same core.
-pub fn run_injection_from_checkpoint_for<C: CoreModel>(
-    checkpoints: &GoldenCheckpoints<C::State>,
-    golden_trace: &PortTrace,
-    fault: Fault,
-    window: u32,
-) -> (Option<(u64, Dsr)>, ReplayCost) {
-    run_injection_engine::<C, _, _>(
+    run_injection_engine::<Cpu, _, _>(
         ReplayStart::Checkpoint(checkpoints),
         golden_trace.len(),
         fault,
         window,
         &mut NoObserver,
         |_, _| RecordedGolden { trace: golden_trace },
-    )
-}
-
-/// [`run_injection_from_checkpoint`] in full-lockstep mode: instead of
-/// the recorded trace, `cpus - 1` live fault-free golden twins are
-/// restored from the same checkpoint and stepped alongside the faulty
-/// CPU, each with its own memory clone. `golden_cycles` is the golden
-/// run's length (the replay domain).
-///
-/// This is the reference semantics shadow mode is differentially tested
-/// against; it returns bit-identical outcomes at roughly `cpus` times
-/// the simulation cost.
-///
-/// # Panics
-///
-/// Panics if `cpus < 2`.
-pub fn run_injection_lockstep(
-    checkpoints: &GoldenCheckpoints,
-    golden_cycles: u64,
-    fault: Fault,
-    window: u32,
-    cpus: usize,
-) -> (Option<(u64, Dsr)>, ReplayCost) {
-    run_injection_lockstep_for::<Cpu>(checkpoints, golden_cycles, fault, window, cpus)
-}
-
-/// [`run_injection_lockstep`] generic over the core model.
-///
-/// # Panics
-///
-/// Panics if `cpus < 2`.
-pub fn run_injection_lockstep_for<C: CoreModel>(
-    checkpoints: &GoldenCheckpoints<C::State>,
-    golden_cycles: u64,
-    fault: Fault,
-    window: u32,
-    cpus: usize,
-) -> (Option<(u64, Dsr)>, ReplayCost) {
-    assert!(cpus >= 2, "lockstep needs at least two CPUs");
-    run_injection_engine::<C, _, _>(
-        ReplayStart::Checkpoint(checkpoints),
-        golden_cycles,
-        fault,
-        window,
-        &mut NoObserver,
-        |state, mem| TwinGolden::<C>::from_parts(state, mem, cpus - 1),
     )
 }
 
@@ -1780,120 +1428,13 @@ fn fault_active(fault: Fault, cycle: u64) -> bool {
     }
 }
 
-/// [`run_injection_from_checkpoint`] with the divergence trace recorder
-/// attached: identical replay, identical detection cycle and DSR (the
-/// campaign trace-consistency test asserts record equality), plus a
-/// [`DivergenceTrace`] holding the last `pre_window` pre-detection
-/// samples and every capture-window sample.
-///
-/// Recording starts at the fault cycle — before it the overlay is the
-/// identity and an exactly restored core cannot diverge, so there is
-/// nothing to observe. Each sample costs one [`lockstep_cpu::CpuState`]
-/// diff (for the per-unit flip deltas), which is why tracing is opt-in
-/// per campaign rather than always on.
-pub fn run_injection_traced(
-    checkpoints: &GoldenCheckpoints,
-    golden_trace: &PortTrace,
-    fault: Fault,
-    window: u32,
-    pre_window: u32,
-) -> (Option<(u64, Dsr, DivergenceTrace)>, ReplayCost) {
-    run_injection_traced_for::<Cpu>(checkpoints, golden_trace, fault, window, pre_window)
-}
-
-/// [`run_injection_traced`] generic over the core model; unit flip
-/// deltas come from `C`'s own flop registry.
-pub fn run_injection_traced_for<C: CoreModel>(
-    checkpoints: &GoldenCheckpoints<C::State>,
-    golden_trace: &PortTrace,
-    fault: Fault,
-    window: u32,
-    pre_window: u32,
-) -> (Option<(u64, Dsr, DivergenceTrace)>, ReplayCost) {
-    let mut observer = TraceObserver::<C>::new(pre_window);
-    let (out, cost) = run_injection_engine::<C, _, _>(
-        ReplayStart::Checkpoint(checkpoints),
-        golden_trace.len(),
-        fault,
-        window,
-        &mut observer,
-        |_, _| RecordedGolden { trace: golden_trace },
-    );
-    match out {
-        Some((cycle, dsr)) => (Some((cycle, dsr, observer.finish(cycle, window))), cost),
-        None => (None, cost),
-    }
-}
-
-/// [`run_injection_lockstep`] with the divergence trace recorder
-/// attached — the full-lockstep twin of [`run_injection_traced`]. The
-/// trace samples observe the faulty CPU, which both modes step
-/// identically, so recorded traces are bit-identical across modes too.
-///
-/// # Panics
-///
-/// Panics if `cpus < 2`.
-pub fn run_injection_lockstep_traced(
-    checkpoints: &GoldenCheckpoints,
-    golden_cycles: u64,
-    fault: Fault,
-    window: u32,
-    pre_window: u32,
-    cpus: usize,
-) -> (Option<(u64, Dsr, DivergenceTrace)>, ReplayCost) {
-    run_injection_lockstep_traced_for::<Cpu>(
-        checkpoints,
-        golden_cycles,
-        fault,
-        window,
-        pre_window,
-        cpus,
-    )
-}
-
-/// [`run_injection_lockstep_traced`] generic over the core model.
-///
-/// # Panics
-///
-/// Panics if `cpus < 2`.
-pub fn run_injection_lockstep_traced_for<C: CoreModel>(
-    checkpoints: &GoldenCheckpoints<C::State>,
-    golden_cycles: u64,
-    fault: Fault,
-    window: u32,
-    pre_window: u32,
-    cpus: usize,
-) -> (Option<(u64, Dsr, DivergenceTrace)>, ReplayCost) {
-    assert!(cpus >= 2, "lockstep needs at least two CPUs");
-    let mut observer = TraceObserver::<C>::new(pre_window);
-    let (out, cost) = run_injection_engine::<C, _, _>(
-        ReplayStart::Checkpoint(checkpoints),
-        golden_cycles,
-        fault,
-        window,
-        &mut observer,
-        |state, mem| TwinGolden::<C>::from_parts(state, mem, cpus - 1),
-    );
-    match out {
-        Some((cycle, dsr)) => (Some((cycle, dsr, observer.finish(cycle, window))), cost),
-        None => (None, cost),
-    }
-}
-
-/// Splits a traced outcome into the record outcome and the trace blob.
-fn split_traced(
-    out: Option<(u64, Dsr, DivergenceTrace)>,
-) -> (Option<(u64, Dsr)>, Option<DivergenceTrace>) {
-    match out {
-        Some((cycle, dsr, trace)) => (Some((cycle, dsr)), Some(trace)),
-        None => (None, None),
-    }
-}
-
 /// Sanity accessor used by tests: total flip-flops under test.
 pub fn flop_count() -> u32 {
     flops::total_flops()
 }
+
+#[cfg(test)]
+mod replay_oracle;
 
 #[cfg(test)]
 mod tests {
@@ -1930,8 +1471,6 @@ mod tests {
             checkpoint_interval: Some(DEFAULT_CHECKPOINT_INTERVAL),
             events: None,
             trace_window: None,
-            replay_mode: Default::default(),
-            cpus: 2,
             batch: None,
             core: CoreKind::Lr5,
             redundancy: RedundancyMode::Fixed,
@@ -2008,7 +1547,7 @@ mod tests {
         // window the two models legitimately differ: the live redundant
         // CPU consumes the *faulted* main's bus responses, while the fast
         // path compares against the fault-free trace.)
-        let fast = run_injection(w, seed, &trace, fault).expect("must manifest");
+        let fast = run_injection_windowed(w, seed, &trace, fault, 1).expect("must manifest");
         let windowed = run_injection_windowed(w, seed, &trace, fault, 8).expect("must manifest");
         assert_eq!(fast.0, windowed.0, "window must not change the detection cycle");
         assert_eq!(
@@ -2267,41 +1806,6 @@ mod tests {
         cfg.checkpoint_interval = None;
         let off = run_campaign(&cfg);
         assert_eq!(on.records, off.records, "checkpointing is a cost knob in DME mode too");
-    }
-
-    #[test]
-    fn replay_mode_downgrade_is_announced() {
-        use lockstep_obs::MemorySink;
-
-        // cpus > 2 silently forced lockstep replay before; now the
-        // fallback is an event on the campaign log.
-        let sink = Arc::new(MemorySink::new());
-        let mut cfg = tiny_config();
-        cfg.faults_per_workload = 10;
-        cfg.cpus = 3;
-        cfg.events = Some(sink.clone());
-        run_campaign(&cfg);
-        let downgrades: Vec<Event> =
-            sink.take().into_iter().filter(|e| e.kind() == "replay_mode_downgraded").collect();
-        match &downgrades[..] {
-            [Event::ReplayModeDowngraded { requested, effective, cpus }] => {
-                assert_eq!(requested, "shadow");
-                assert_eq!(effective, "lockstep");
-                assert_eq!(*cpus, 3);
-            }
-            other => panic!("expected exactly one downgrade event, got {other:?}"),
-        }
-
-        // A DMR shadow campaign is not downgraded and says nothing.
-        let sink = Arc::new(MemorySink::new());
-        let mut cfg = tiny_config();
-        cfg.faults_per_workload = 10;
-        cfg.events = Some(sink.clone());
-        run_campaign(&cfg);
-        assert!(
-            sink.take().iter().all(|e| e.kind() != "replay_mode_downgraded"),
-            "no downgrade event without a downgrade"
-        );
     }
 
     #[test]

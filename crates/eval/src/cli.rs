@@ -20,11 +20,6 @@
 //! * `--trace-window N` — record a divergence trace per manifested
 //!   error, keeping the last `N` pre-detection cycles (`0` disables;
 //!   default off);
-//! * `--replay-mode {shadow,lockstep}` — what the faulty CPU is
-//!   compared against during injection replay: the recorded golden
-//!   port trace (`shadow`, the default) or live fault-free golden-twin
-//!   CPUs (`lockstep`). Both yield bit-identical campaign results; see
-//!   [`crate::campaign::ReplayMode`];
 //! * `--batch-mode {off,fanout,earlyout,lanes,full}` — batched fault
 //!   simulation layers (default `full`; `off` replays every fault on
 //!   its own scalar engine). All spellings yield bit-identical campaign
@@ -41,6 +36,11 @@
 //!   space and compares retired-effect streams. Non-fixed modes clamp
 //!   the batched engine off (recorded honestly in the stats); see
 //!   [`lockstep_core::RedundancyMode`].
+//!
+//! There is no replay-mode flag: every injection replays against the
+//! recorded golden port trace, which is bit-identical to replaying
+//! against live fault-free golden twins (see the `campaign` module
+//! docs). A `--replay-mode` argument is an unknown flag.
 
 use std::sync::Arc;
 
@@ -50,8 +50,8 @@ use lockstep_obs::{EventSink, JsonlSink};
 use lockstep_workloads::{fuzz, lc, Workload};
 
 use crate::batch::BatchConfig;
-use crate::campaign::{CampaignConfig, ReplayMode, DEFAULT_CHECKPOINT_INTERVAL};
-use crate::spec::CampaignSpec;
+use crate::campaign::{CampaignConfig, DEFAULT_CHECKPOINT_INTERVAL};
+use crate::spec::{CampaignSpec, DEFAULT_SPEC_REPLAY_MODE};
 
 /// Parsed common options.
 #[derive(Debug, Clone)]
@@ -70,8 +70,6 @@ pub struct CommonArgs {
     pub events: Option<Arc<dyn EventSink>>,
     /// Divergence-trace pre-detection window (`None` = tracing off).
     pub trace_window: Option<u32>,
-    /// Injection replay mode (`--replay-mode`; default shadow).
-    pub replay_mode: ReplayMode,
     /// Batched fault-simulation layers (`--batch-mode`; default full,
     /// `None` = scalar per-fault replay).
     pub batch: Option<BatchConfig>,
@@ -93,7 +91,6 @@ impl CommonArgs {
             checkpoint_interval: Some(DEFAULT_CHECKPOINT_INTERVAL),
             events: None,
             trace_window: None,
-            replay_mode: ReplayMode::default(),
             batch: Some(BatchConfig::FULL),
             core: CoreKind::default(),
             redundancy: RedundancyMode::default(),
@@ -168,12 +165,6 @@ impl CommonArgs {
                         .unwrap_or_else(|_| die("bad --trace-window"));
                     out.trace_window = (n != 0).then_some(n);
                 }
-                "--replay-mode" => {
-                    let m = value("--replay-mode");
-                    out.replay_mode = ReplayMode::from_flag(&m).unwrap_or_else(|| {
-                        die(&format!("bad --replay-mode `{m}` (expected shadow or lockstep)"))
-                    });
-                }
                 "--batch-mode" => {
                     let m = value("--batch-mode");
                     out.batch = BatchConfig::from_flag(&m).unwrap_or_else(|| {
@@ -199,7 +190,7 @@ impl CommonArgs {
                         "usage: [--faults N] [--seed S] [--threads T] \
                          [--workloads a,b,c | fuzz:<seed>[:<count>] | lc:<kernel>|lc:all] \
                          [--checkpoint-interval K (0 = off)] [--events PATH] \
-                         [--trace-window N (0 = off)] [--replay-mode shadow|lockstep] \
+                         [--trace-window N (0 = off)] \
                          [--batch-mode off|fanout|earlyout|lanes|full] [--core lr5|lr7] \
                          [--redundancy fixed|dynamic|dme]"
                     );
@@ -220,7 +211,7 @@ impl CommonArgs {
             workloads: self.workloads.iter().map(|w| w.name.to_owned()).collect(),
             faults_per_workload: self.faults as u64,
             seed: self.seed,
-            replay_mode: self.replay_mode.label().to_owned(),
+            replay_mode: DEFAULT_SPEC_REPLAY_MODE.to_owned(),
             batch_mode: self.batch.map_or("off", BatchConfig::label).to_owned(),
             core: self.core.label().to_owned(),
             redundancy: self.redundancy.label().to_owned(),
@@ -265,7 +256,6 @@ mod tests {
         assert_eq!(a.seed, 2018);
         assert_eq!(a.workloads.len(), 12);
         assert_eq!(a.checkpoint_interval, Some(DEFAULT_CHECKPOINT_INTERVAL));
-        assert_eq!(a.replay_mode, ReplayMode::Shadow);
     }
 
     #[test]
@@ -337,16 +327,6 @@ mod tests {
     fn checkpoint_interval_zero_disables() {
         assert_eq!(parse(&["--checkpoint-interval", "0"]).checkpoint_interval, None);
         assert_eq!(parse(&["--checkpoint-interval", "512"]).checkpoint_interval, Some(512));
-    }
-
-    #[test]
-    fn replay_mode_flag() {
-        assert_eq!(parse(&["--replay-mode", "shadow"]).replay_mode, ReplayMode::Shadow);
-        let a = parse(&["--replay-mode", "lockstep"]);
-        assert_eq!(a.replay_mode, ReplayMode::Lockstep);
-        let c = a.campaign_config();
-        assert_eq!(c.replay_mode, ReplayMode::Lockstep);
-        assert_eq!(c.cpus, 2);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! archive byte-identical (stats aside) to the single-shot
 //! [`run_campaign`](crate::campaign::run_campaign) archive — the
 //! property `tests/shard_resume.rs` pins across shard cuts, thread
-//! counts, replay modes, and batch modes.
+//! counts, and batch modes.
 //!
 //! This is the substrate of the `lockstep-serve` campaign service: jobs
 //! are split with [`plan_shards`], shards are leased to workers and
@@ -38,9 +38,9 @@ use crate::archive::{
 };
 use crate::batch::{BatchConfig, CoreBatch};
 use crate::campaign::{
-    collect_workload_stats, elapsed_nanos, emit_replay_mode_downgrade, order_produced,
-    run_golden_phase, run_injection_phase, CampaignConfig, CampaignResult, CampaignStats,
-    WorkCounters, WorkloadStats,
+    collect_workload_stats, elapsed_nanos, order_produced, record_order_key, run_golden_phase,
+    run_injection_phase, CampaignConfig, CampaignResult, CampaignStats, WorkCounters,
+    WorkloadStats,
 };
 
 /// One contiguous slice `[fault_lo, fault_hi)` of a campaign's global
@@ -130,8 +130,6 @@ pub struct ShardRepr {
     /// Redundancy mode label (`"fixed"` / `"dynamic"` / `"dme"`) —
     /// shards of one job must have compared the copies the same way.
     pub redundancy: String,
-    /// Effective replay mode label (`"shadow"` / `"lockstep"`).
-    pub replay_mode: String,
     /// Effective batch mode label (`"off"`, `"fanout"`, ... `"full"`),
     /// after the core's layer clamp.
     pub batch_mode: String,
@@ -162,7 +160,6 @@ impl Deserialize for ShardRepr {
                 Ok(v) => Deserialize::deserialize(v)?,
                 Err(_) => RedundancyMode::Fixed.label().to_owned(),
             },
-            replay_mode: Deserialize::deserialize(value.field("replay_mode")?)?,
             batch_mode: Deserialize::deserialize(value.field("batch_mode")?)?,
         })
     }
@@ -184,7 +181,6 @@ impl ShardRepr {
             trace_window: config.trace_window.map_or(0, u64::from),
             core: config.core.label().to_owned(),
             redundancy: config.redundancy.label().to_owned(),
-            replay_mode: config.effective_replay_mode().label().to_owned(),
             batch_mode: config
                 .effective_batch_clamped()
                 .map_or("off", BatchConfig::label)
@@ -205,7 +201,6 @@ impl ShardRepr {
             && self.trace_window == other.trace_window
             && self.core == other.core
             && self.redundancy == other.redundancy
-            && self.replay_mode == other.replay_mode
             && self.batch_mode == other.batch_mode
     }
 
@@ -242,9 +237,7 @@ pub fn run_shard(config: &CampaignConfig, spec: &ShardSpec) -> CampaignArchive {
 pub fn run_shard_for<C: CoreBatch>(config: &CampaignConfig, spec: &ShardSpec) -> CampaignArchive {
     let shard_start = Instant::now();
     debug_assert_eq!(config.core.label(), C::NAME, "config.core must match the core type");
-    assert!(config.cpus >= 2, "lockstep needs at least two CPUs");
     assert!(config.faults_per_workload >= 1, "faults_per_workload must be at least 1");
-    emit_replay_mode_downgrade(config);
     let fpw = config.faults_per_workload as u64;
     let total = config.workloads.len() as u64 * fpw;
     assert!(
@@ -312,7 +305,6 @@ pub fn run_shard_for<C: CoreBatch>(config: &CampaignConfig, spec: &ShardSpec) ->
         checkpoint_interval: config.checkpoint_interval.unwrap_or(0),
         core: C::NAME.to_owned(),
         redundancy: config.redundancy.label().to_owned(),
-        replay_mode: config.effective_replay_mode().label().to_owned(),
         injected: injected_total,
         manifested: manifested_total,
         masked: injected_total - manifested_total,
@@ -480,10 +472,9 @@ pub fn merge_shard_archives(shards: &[CampaignArchive]) -> Result<CampaignArchiv
 
     // Records: bucket per global workload, then the canonical
     // per-workload sort the single-shot engine uses. Ties under the sort
-    // key are byte-equal records (the 62-bit DSR disambiguates distinct
-    // faults), so bucket insertion order cannot leak into the output —
-    // the same argument that makes single-shot archives independent of
-    // thread interleaving.
+    // key are byte-equal records, so bucket insertion order cannot leak
+    // into the output — the same argument that makes single-shot
+    // archives independent of thread interleaving.
     let windex: BTreeMap<&str, usize> =
         job.workloads.iter().enumerate().map(|(i, n)| (n.as_str(), i)).collect();
     let tracing = job.tracing();
@@ -504,14 +495,7 @@ pub fn merge_shard_archives(shards: &[CampaignArchive]) -> Result<CampaignArchiv
     let mut records = Vec::new();
     let mut traces = Vec::new();
     for bucket in &mut buckets {
-        bucket.sort_by(|(a, _), (b, _)| {
-            (a.inject_cycle, a.detect_cycle, a.unit_index, a.dsr).cmp(&(
-                b.inject_cycle,
-                b.detect_cycle,
-                b.unit_index,
-                b.dsr,
-            ))
-        });
+        bucket.sort_by_key(|(record, _)| record_order_key(record));
         for (record, trace) in bucket.drain(..) {
             records.push(record);
             traces.push(trace);
@@ -553,7 +537,6 @@ pub fn merge_shard_archives(shards: &[CampaignArchive]) -> Result<CampaignArchiv
         checkpoint_interval: job.checkpoint_interval,
         core: job.core.clone(),
         redundancy: job.redundancy.clone(),
-        replay_mode: job.replay_mode.clone(),
         injected: total,
         manifested: manifested_total,
         masked: total - manifested_total,
@@ -623,8 +606,6 @@ mod tests {
             checkpoint_interval: Some(1024),
             events: None,
             trace_window: None,
-            replay_mode: Default::default(),
-            cpus: 2,
             batch: None,
             core: CoreKind::Lr5,
             redundancy: RedundancyMode::Fixed,
@@ -687,5 +668,63 @@ mod tests {
         let merged = merge_shard_archives(&shuffled).unwrap();
         assert_eq!(merged.injected, 60);
         assert!(merged.shard.is_none());
+    }
+
+    #[test]
+    fn merged_record_order_does_not_depend_on_shard_order() {
+        // Two records equal on everything but the fault kind, produced
+        // by different shards: the merge must order them the way the
+        // single-shot engine does, whichever shard comes first.
+        let config = tiny_config();
+        let mut archives: Vec<CampaignArchive> =
+            plan_shards(&config, 3).iter().map(|s| run_shard(&config, s)).collect();
+        let record = |fault| ErrorRecord {
+            workload: "rspeed".to_owned(),
+            unit_index: 3,
+            fault,
+            inject_cycle: 1117,
+            detect_cycle: 1127,
+            dsr: lockstep_core::Dsr::from_bits(41_975_808),
+        };
+        archives[0].records.push(record(lockstep_core::log::FaultKindRepr::StuckAt1));
+        archives[2].records.push(record(lockstep_core::log::FaultKindRepr::Transient));
+        let forward = merge_shard_archives(&archives).unwrap();
+        archives.rotate_left(2);
+        let backward = merge_shard_archives(&archives).unwrap();
+        assert_eq!(forward.records, backward.records);
+    }
+
+    /// The archive bytes with the throughput stats zeroed out.
+    fn archive_bytes(mut archive: CampaignArchive) -> String {
+        archive.stats = CampaignStats::default();
+        serde_json::to_string(&archive).unwrap()
+    }
+
+    #[test]
+    fn v10_shards_with_a_replay_mode_label_merge_with_new_ones() {
+        // A job half-run before the upgrade: shard 1 was saved by a v10
+        // writer, whose stats block and shard provenance carried a
+        // replay mode (`"lockstep"` here, which v10 also accepted).
+        let config = tiny_config();
+        let specs = plan_shards(&config, 3);
+        let fresh: Vec<CampaignArchive> = specs.iter().map(|s| run_shard(&config, s)).collect();
+        let json = serde_json::to_string(&fresh[1])
+            .unwrap()
+            .replacen(&format!("\"version\":{ARCHIVE_VERSION}"), "\"version\":10", 1)
+            .replacen("\"stats\":{", "\"stats\":{\"replay_mode\":\"lockstep\",", 1)
+            .replacen("\"shard\":{", "\"shard\":{\"replay_mode\":\"lockstep\",", 1);
+        assert_eq!(json.matches("\"replay_mode\":\"lockstep\"").count(), 2);
+        let dir = std::env::temp_dir().join("lockstep_shard_v10_compat");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("shard-0001.json");
+        std::fs::write(&path, json).unwrap();
+        let old = CampaignArchive::load(&path).expect("v10 shards load");
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(old.version, 10);
+        assert!(old.shard.as_ref().unwrap().same_job(fresh[0].shard.as_ref().unwrap()));
+
+        let merged = merge_shard_archives(&[fresh[0].clone(), old, fresh[2].clone()]).unwrap();
+        let single = CampaignArchive::from_result(&crate::campaign::run_campaign(&config));
+        assert_eq!(archive_bytes(merged), archive_bytes(single));
     }
 }

@@ -4,8 +4,8 @@
 //! experiment CLIs ([`crate::cli::CommonArgs`]) and the `lockstep-serve`
 //! JSON protocol — each with its own field names, defaults, and
 //! validation. `CampaignSpec` unifies them: one serializable struct
-//! holding the portable knobs (workloads, faults, seed, replay mode,
-//! batch mode, core model, redundancy mode), one typed validation error
+//! holding the portable knobs (workloads, faults, seed, batch mode,
+//! core model, redundancy mode), one typed validation error
 //! ([`SpecError`]), and one [`CampaignSpec::campaign_config`] that
 //! resolves it into a runnable [`CampaignConfig`]. The CLI builds a
 //! spec from flags; the service deserializes one straight off the
@@ -15,8 +15,12 @@
 //! (`faults` for `faults_per_workload`, `replay` for `replay_mode`,
 //! `batch` for `batch_mode`), so archived job files and old client
 //! scripts keep working. Fields the source omits take the documented
-//! service defaults: seed 1, shadow replay, the full batch engine,
-//! the LR5 core, and fixed redundancy.
+//! service defaults: seed 1, the full batch engine, the LR5 core, and
+//! fixed redundancy.
+//!
+//! `replay_mode` is kept only for wire and `job.json` compatibility:
+//! it is still validated (`shadow` or `lockstep`) but selects nothing,
+//! because every campaign replays against the recorded golden trace.
 
 use lockstep_core::RedundancyMode;
 use lockstep_cpu::CoreKind;
@@ -25,9 +29,7 @@ use serde::json::{Error as JsonError, Value};
 use serde::{Deserialize, Serialize};
 
 use crate::batch::BatchConfig;
-use crate::campaign::{
-    CampaignConfig, ReplayMode, DEFAULT_CAPTURE_WINDOW, DEFAULT_CHECKPOINT_INTERVAL,
-};
+use crate::campaign::{CampaignConfig, DEFAULT_CAPTURE_WINDOW, DEFAULT_CHECKPOINT_INTERVAL};
 
 /// Portable description of a campaign, shared by the CLIs and the
 /// campaign service (see the module docs).
@@ -43,7 +45,9 @@ pub struct CampaignSpec {
     pub faults_per_workload: u64,
     /// Master campaign seed (stimulus and fault sampling).
     pub seed: u64,
-    /// Replay mode flag value (`"shadow"` / `"lockstep"`).
+    /// Historical replay mode (`"shadow"` / `"lockstep"`). Validated but
+    /// without effect: the recorded golden trace is the only replay
+    /// path, and both values always produced identical records.
     pub replay_mode: String,
     /// Batch engine flag value (`"off"` / `"fanout"` / `"earlyout"` /
     /// `"lanes"` / `"full"`).
@@ -57,10 +61,15 @@ pub struct CampaignSpec {
 /// Spec defaults, spelled once (and documented in
 /// `docs/CAMPAIGN_SERVICE.md`).
 pub const DEFAULT_SPEC_SEED: u64 = 1;
-/// Default replay mode flag value.
+/// Default (and only meaningful) replay mode value.
 pub const DEFAULT_SPEC_REPLAY_MODE: &str = "shadow";
 /// Default batch mode flag value.
 pub const DEFAULT_SPEC_BATCH_MODE: &str = "full";
+/// Largest total fault queue (workloads × faults per workload) a spec
+/// may ask for: about 22 times the 48k-injection benchmark plan. Fault
+/// plans, shard plans and the shard index are sized from this count, so
+/// it bounds what one request can make the service allocate.
+pub const MAX_TOTAL_FAULTS: u64 = 1 << 20;
 
 impl Deserialize for CampaignSpec {
     fn deserialize(value: &Value) -> Result<CampaignSpec, JsonError> {
@@ -124,7 +133,7 @@ pub enum SpecError {
     UnknownRedundancy(String),
     /// The requested shard count is zero (job-level, service only).
     ZeroShards,
-    /// Workloads × faults per workload does not fit in a `u64`.
+    /// Workloads × faults per workload exceeds [`MAX_TOTAL_FAULTS`].
     TooManyFaults,
 }
 
@@ -167,7 +176,9 @@ impl std::fmt::Display for SpecError {
                 write!(f, "unknown redundancy mode `{r}` (expected fixed, dynamic or dme)")
             }
             SpecError::ZeroShards => write!(f, "shards must be at least 1"),
-            SpecError::TooManyFaults => write!(f, "total fault count overflows a u64"),
+            SpecError::TooManyFaults => {
+                write!(f, "total fault count exceeds the limit of {MAX_TOTAL_FAULTS}")
+            }
         }
     }
 }
@@ -181,10 +192,14 @@ impl CampaignSpec {
     /// # Errors
     ///
     /// Returns the workload-resolution [`SpecError`], or
-    /// [`SpecError::TooManyFaults`] when the product overflows.
+    /// [`SpecError::TooManyFaults`] when the product exceeds
+    /// [`MAX_TOTAL_FAULTS`].
     pub fn total_faults(&self) -> Result<u64, SpecError> {
         let workloads = self.resolve_workloads()?.len() as u64;
-        workloads.checked_mul(self.faults_per_workload).ok_or(SpecError::TooManyFaults)
+        workloads
+            .checked_mul(self.faults_per_workload)
+            .filter(|&total| total <= MAX_TOTAL_FAULTS)
+            .ok_or(SpecError::TooManyFaults)
     }
 
     /// Expands `fuzz:` and `lc:` tokens and resolves every workload
@@ -228,14 +243,17 @@ impl CampaignSpec {
         Ok(out)
     }
 
-    /// The parsed replay mode.
+    /// Checks the historical replay mode value, which selects nothing.
     ///
     /// # Errors
     ///
-    /// Returns [`SpecError::UnknownReplayMode`].
-    pub fn replay(&self) -> Result<ReplayMode, SpecError> {
-        ReplayMode::from_flag(&self.replay_mode)
-            .ok_or_else(|| SpecError::UnknownReplayMode(self.replay_mode.clone()))
+    /// Returns [`SpecError::UnknownReplayMode`] for anything but
+    /// `shadow` or `lockstep`.
+    fn check_replay_mode(&self) -> Result<(), SpecError> {
+        match self.replay_mode.as_str() {
+            "shadow" | "lockstep" => Ok(()),
+            _ => Err(SpecError::UnknownReplayMode(self.replay_mode.clone())),
+        }
     }
 
     /// The parsed batch layers (`None` = scalar per-fault replay).
@@ -277,7 +295,7 @@ impl CampaignSpec {
         if self.faults_per_workload == 0 {
             return Err(SpecError::ZeroFaults);
         }
-        self.replay()?;
+        self.check_replay_mode()?;
         self.batch()?;
         self.core_kind()?;
         self.redundancy_mode()?;
@@ -296,6 +314,7 @@ impl CampaignSpec {
         if self.faults_per_workload == 0 {
             return Err(SpecError::ZeroFaults);
         }
+        self.check_replay_mode()?;
         Ok(CampaignConfig {
             workloads: self.resolve_workloads()?,
             faults_per_workload: self.faults_per_workload as usize,
@@ -305,8 +324,6 @@ impl CampaignSpec {
             checkpoint_interval: Some(DEFAULT_CHECKPOINT_INTERVAL),
             events: None,
             trace_window: None,
-            replay_mode: self.replay()?,
-            cpus: 2,
             batch: self.batch()?,
             core: self.core_kind()?,
             redundancy: self.redundancy_mode()?,
@@ -388,9 +405,13 @@ mod tests {
         let mut s = spec();
         s.faults_per_workload = 0;
         assert_eq!(s.validate().unwrap_err(), SpecError::ZeroFaults);
+        // `replay_mode` selects nothing any more, but a value outside
+        // the historical vocabulary is still a typed error.
         let mut s = spec();
         s.replay_mode = "warp".to_owned();
         assert_eq!(s.validate().unwrap_err().code(), "unknown_replay_mode");
+        s.replay_mode = "shadow".to_owned();
+        assert!(s.validate().is_ok());
         let mut s = spec();
         s.batch_mode = "x".to_owned();
         assert_eq!(s.validate().unwrap_err().code(), "unknown_batch_mode");
@@ -438,8 +459,24 @@ mod tests {
         assert_eq!(s.total_faults(), Err(SpecError::TooManyFaults));
         let err = s.validate().unwrap_err();
         assert_eq!(err.code(), "too_many_faults");
-        s.faults_per_workload = u64::MAX / 2;
-        assert_eq!(s.total_faults(), Ok(u64::MAX - 1));
+    }
+
+    #[test]
+    fn total_faults_above_the_cap_are_refused() {
+        // Two workloads: the cap falls exactly on an even split.
+        let mut s = spec();
+        s.faults_per_workload = MAX_TOTAL_FAULTS / 2;
+        assert_eq!(s.total_faults(), Ok(MAX_TOTAL_FAULTS));
+        assert!(s.validate().is_ok());
+        s.faults_per_workload += 1;
+        assert_eq!(s.total_faults(), Err(SpecError::TooManyFaults));
+        // The value a hostile submit would send: it passes the checked
+        // multiply but must not reach the fault planner.
+        s.faults_per_workload = 1_000_000_000_000;
+        let err = s.validate().unwrap_err();
+        assert_eq!(err, SpecError::TooManyFaults);
+        assert_eq!(err.code(), "too_many_faults");
+        assert!(err.to_string().contains(&MAX_TOTAL_FAULTS.to_string()));
     }
 
     #[test]
@@ -473,7 +510,6 @@ mod tests {
         assert_eq!(config.faults_per_workload, 30);
         assert_eq!(config.seed, 9);
         assert_eq!(config.threads, 3);
-        assert_eq!(config.replay_mode, ReplayMode::Lockstep);
         assert!(config.batch.is_none());
         assert_eq!(config.core, CoreKind::Lr7);
         assert_eq!(config.redundancy, RedundancyMode::Dme);

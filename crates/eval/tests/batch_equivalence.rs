@@ -2,8 +2,8 @@
 //! campaign run in `--batch-mode` — shared walker fan-out, dirty-set
 //! early-out, bit-parallel parked lanes — must be **byte-identical** to
 //! the same campaign replayed per fault on the scalar shadow engine,
-//! for every layer combination, checkpoint spacing, thread count, and
-//! replay mode. The order-of-magnitude saving is only usable because
+//! for every layer combination, checkpoint spacing, and thread count.
+//! The order-of-magnitude saving is only usable because
 //! this equivalence is exact.
 //!
 //! Two granularities:
@@ -23,7 +23,7 @@ use lockstep_eval::archive::CampaignArchive;
 use lockstep_eval::batch::{run_batch_group, BatchConfig};
 use lockstep_eval::campaign::{
     run_campaign, run_injection_from_checkpoint, CampaignConfig, CampaignResult, CampaignStats,
-    ReplayMode, DEFAULT_CAPTURE_WINDOW,
+    DEFAULT_CAPTURE_WINDOW,
 };
 use lockstep_fault::{Fault, FaultKind};
 use lockstep_workloads::{GoldenCapture, Workload};
@@ -61,8 +61,6 @@ fn base_config() -> CampaignConfig {
         checkpoint_interval: Some(4096),
         events: None,
         trace_window: None,
-        replay_mode: ReplayMode::Shadow,
-        cpus: 2,
         batch: None,
         core: lockstep_cpu::CoreKind::Lr5,
         redundancy: lockstep_core::RedundancyMode::Fixed,
@@ -245,23 +243,6 @@ fn batched_archives_byte_identical_across_thread_counts() {
             None => reference = Some(bytes),
         }
     }
-}
-
-/// Batch mode composes with lockstep replay: the walker doubles as the
-/// live golden twin, so the batched engine serves both modes and the
-/// archives stay byte-identical to scalar lockstep replay.
-#[test]
-fn batched_lockstep_replay_matches_scalar_lockstep() {
-    let mut cfg = base_config();
-    cfg.faults_per_workload = 25;
-    cfg.replay_mode = ReplayMode::Lockstep;
-    let scalar = run_campaign(&cfg);
-    assert_eq!(scalar.stats.replay_mode, "lockstep");
-    cfg.batch = Some(BatchConfig::FULL);
-    let batched = run_campaign(&cfg);
-    assert_eq!(batched.stats.replay_mode, "lockstep");
-    assert_eq!(batched.stats.batch_mode, "full");
-    assert_eq!(archive_bytes(&scalar), archive_bytes(&batched));
 }
 
 /// The savings counters tell a consistent story: a full-layer campaign

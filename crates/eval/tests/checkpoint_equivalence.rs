@@ -84,8 +84,6 @@ fn campaign_records_identical_for_all_intervals() {
         checkpoint_interval: None,
         events: None,
         trace_window: None,
-        replay_mode: Default::default(),
-        cpus: 2,
         batch: None,
         core: lockstep_cpu::CoreKind::Lr5,
         redundancy: lockstep_core::RedundancyMode::Fixed,

@@ -26,8 +26,6 @@ fn campaign() -> &'static CampaignResult {
             checkpoint_interval: Some(4096),
             events: None,
             trace_window: None,
-            replay_mode: Default::default(),
-            cpus: 2,
             batch: None,
             core: lockstep_cpu::CoreKind::Lr5,
             redundancy: lockstep_core::RedundancyMode::Fixed,

@@ -3,7 +3,7 @@
 //! boundary and resumed by a fresh process from the persisted shard
 //! archives** — must merge to an archive **byte-identical** to the
 //! uninterrupted single-shot run, across shard cuts, thread counts,
-//! replay modes, and batch modes. This is what lets `lockstep-serve`
+//! and batch modes. This is what lets `lockstep-serve`
 //! requeue timed-out shards and resume in-flight jobs after a restart
 //! without ever corrupting a result.
 //!
@@ -17,7 +17,7 @@
 use lockstep_eval::archive::CampaignArchive;
 use lockstep_eval::batch::BatchConfig;
 use lockstep_eval::campaign::{
-    run_campaign, CampaignConfig, CampaignStats, ReplayMode, DEFAULT_CAPTURE_WINDOW,
+    run_campaign, CampaignConfig, CampaignStats, DEFAULT_CAPTURE_WINDOW,
 };
 use lockstep_eval::shard::{merge_shard_archives, plan_shards, run_shard};
 use lockstep_workloads::Workload;
@@ -33,8 +33,6 @@ fn base_config() -> CampaignConfig {
         checkpoint_interval: Some(4096),
         events: None,
         trace_window: None,
-        replay_mode: ReplayMode::Shadow,
-        cpus: 2,
         batch: None,
         core: lockstep_cpu::CoreKind::Lr5,
         redundancy: lockstep_core::RedundancyMode::Fixed,
@@ -95,7 +93,7 @@ proptest! {
     /// The satellite contract: kill-at-arbitrary-shard-boundary +
     /// resume merges byte-identical to the uninterrupted single-shot
     /// archive, across shard cuts × kill points × thread counts ×
-    /// replay modes × batch modes.
+    /// batch modes.
     #[test]
     fn killed_and_resumed_job_merges_byte_identical(
         seed in 1u64..10_000,
@@ -103,14 +101,12 @@ proptest! {
         shard_count in 1usize..8,
         kill_frac in 0u32..=100,
         threads in 1usize..=4,
-        lockstep in any::<bool>(),
         batched in any::<bool>(),
     ) {
         let mut cfg = base_config();
         cfg.seed = seed;
         cfg.faults_per_workload = faults;
         cfg.threads = threads;
-        cfg.replay_mode = if lockstep { ReplayMode::Lockstep } else { ReplayMode::Shadow };
         cfg.batch = batched.then_some(BatchConfig::FULL);
 
         let single = run_campaign(&cfg);

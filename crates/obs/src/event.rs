@@ -104,18 +104,6 @@ pub enum Event {
         /// The substituted mean golden runtime in cycles.
         mean_cycles: u64,
     },
-    /// The campaign requested one replay mode but the engine ran
-    /// another (shadow is DMR-only: a recorded trace cannot stand in
-    /// for several live twins in a majority vote, so TMR-and-up
-    /// configurations run full lockstep replay).
-    ReplayModeDowngraded {
-        /// The replay mode the configuration asked for.
-        requested: String,
-        /// The replay mode the engine actually ran.
-        effective: String,
-        /// Redundant CPUs per lockstep unit that forced the downgrade.
-        cpus: u64,
-    },
     /// A dynamic lockstep pair re-synced from a golden checkpoint after
     /// a predicted-soft verdict, instead of a full task restart.
     Resync {
@@ -216,7 +204,6 @@ impl Event {
             Event::BistStop { .. } => "bist_stop",
             Event::Prediction { .. } => "prediction",
             Event::RestartFallback { .. } => "restart_fallback",
-            Event::ReplayModeDowngraded { .. } => "replay_mode_downgraded",
             Event::Resync { .. } => "resync",
             Event::Span { .. } => "span",
             Event::JobSubmitted { .. } => "job_submitted",
@@ -290,11 +277,6 @@ impl Serialize for Event {
             Event::RestartFallback { workload, mean_cycles } => {
                 field(out, "workload", workload);
                 field(out, "mean_cycles", mean_cycles);
-            }
-            Event::ReplayModeDowngraded { requested, effective, cpus } => {
-                field(out, "requested", requested);
-                field(out, "effective", effective);
-                field(out, "cpus", cpus);
             }
             Event::Resync { workload, detect_cycle, checkpoint_cycle, resync_cycles } => {
                 field(out, "workload", workload);
@@ -398,11 +380,6 @@ impl Deserialize for Event {
                 workload: s("workload")?,
                 mean_cycles: u("mean_cycles")?,
             }),
-            "replay_mode_downgraded" => Ok(Event::ReplayModeDowngraded {
-                requested: s("requested")?,
-                effective: s("effective")?,
-                cpus: u("cpus")?,
-            }),
             "resync" => Ok(Event::Resync {
                 workload: s("workload")?,
                 detect_cycle: u("detect_cycle")?,
@@ -490,11 +467,6 @@ mod tests {
                 hard: true,
             },
             Event::RestartFallback { workload: "missing".into(), mean_cycles: 9000 },
-            Event::ReplayModeDowngraded {
-                requested: "shadow".into(),
-                effective: "lockstep".into(),
-                cpus: 3,
-            },
             Event::Resync {
                 workload: "rspeed".into(),
                 detect_cycle: 9000,

@@ -14,7 +14,7 @@ use lockstep_core::{Dsr, ErrorRecord, Predictor, PredictorConfig};
 use lockstep_cpu::Granularity;
 use lockstep_eval::campaign::run_campaign;
 use lockstep_eval::dataset::Dataset;
-use lockstep_eval::spec::CampaignSpec;
+use lockstep_eval::spec::{CampaignSpec, DEFAULT_SPEC_REPLAY_MODE};
 use lockstep_fault::ErrorKind;
 use lockstep_serve::proto::{JobStatus, PredictResponse, StatusResponse, SubmitResponse};
 use lockstep_serve::JobSpec;
@@ -83,7 +83,7 @@ fn usage() -> String {
      commands:\n  \
      ping\n  \
      submit --workloads a,b[,fuzz:<seed>[:<count>]] --faults N [--seed S] [--shards K]\n         \
-     [--replay-mode shadow|lockstep] [--batch-mode off|fanout|earlyout|lanes|full]\n         \
+     [--batch-mode off|fanout|earlyout|lanes|full]\n         \
      [--core lr5|lr7]\n  \
      status [--job job-NNNNNN]\n  \
      wait --job job-NNNNNN [--timeout-secs N]\n  \
@@ -156,7 +156,7 @@ fn spec_from_flags(flags: &[String]) -> JobSpec {
                 .unwrap_or_else(|_| die("bad --faults")),
             seed: flag_value(flags, "--seed")
                 .map_or(1, |s| s.parse().unwrap_or_else(|_| die("bad --seed"))),
-            replay_mode: flag_value(flags, "--replay-mode").unwrap_or("shadow".to_owned()),
+            replay_mode: DEFAULT_SPEC_REPLAY_MODE.to_owned(),
             batch_mode: flag_value(flags, "--batch-mode").unwrap_or("full".to_owned()),
             core: flag_value(flags, "--core").unwrap_or("lr5".to_owned()),
             redundancy: flag_value(flags, "--redundancy").unwrap_or("fixed".to_owned()),

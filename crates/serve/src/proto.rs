@@ -398,7 +398,6 @@ pub struct ShutdownResponse {
 mod tests {
     use super::*;
     use lockstep_cpu::CoreKind;
-    use lockstep_eval::campaign::ReplayMode;
     use lockstep_eval::spec::{
         DEFAULT_SPEC_BATCH_MODE, DEFAULT_SPEC_REPLAY_MODE, DEFAULT_SPEC_SEED,
     };
@@ -571,7 +570,6 @@ mod tests {
         assert_eq!(config.faults_per_workload, 30);
         assert_eq!(config.seed, 9);
         assert_eq!(config.threads, 1, "shards run single-threaded");
-        assert_eq!(config.replay_mode, ReplayMode::Lockstep);
         assert!(config.batch.is_none());
         assert_eq!(config.core, CoreKind::Lr7);
     }

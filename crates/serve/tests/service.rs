@@ -3,7 +3,8 @@
 //! restart-resume path, every graceful-degradation contract
 //! (backpressure, lease timeout requeue, retry-then-fail), and the
 //! connection edge cases (line and nesting caps, connection cap,
-//! concurrent submits, shutdown with clients still connected).
+//! concurrent submits, shutdown with clients still connected), and the
+//! spec resource limits.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -18,7 +19,7 @@ use lockstep_eval::archive::{CampaignArchive, GoldenRunRepr, ARCHIVE_VERSION};
 use lockstep_eval::campaign::{run_campaign, CampaignStats};
 use lockstep_eval::dataset::Dataset;
 use lockstep_eval::shard::{merge_shard_archives, plan_shards, run_shard};
-use lockstep_eval::spec::CampaignSpec;
+use lockstep_eval::spec::{CampaignSpec, MAX_TOTAL_FAULTS};
 use lockstep_fault::ErrorKind;
 use lockstep_obs::{Event, EventSink, MemorySink};
 use lockstep_serve::proto::{PredictResponse, ShutdownResponse, StatusResponse, SubmitResponse};
@@ -592,6 +593,34 @@ fn deeply_nested_request_is_a_bad_request_and_the_server_survives() {
     assert_eq!(code, "bad_request");
     assert!(error.contains("nesting"), "{error}");
     assert!(is_ok(&client.call(r#"{"cmd":"ping"}"#)));
+    assert!(is_ok(&send(&handle, r#"{"cmd":"ping"}"#)));
+
+    handle.shutdown();
+    handle.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A submit whose fault count passes the checked multiply but exceeds
+/// `MAX_TOTAL_FAULTS` is refused with `too_many_faults` before any fault
+/// or shard plan is sized from it, and the server keeps answering. A
+/// job right at the cap is still accepted.
+#[test]
+fn oversized_fault_count_is_refused_and_the_server_survives() {
+    let (handle, dir) = idle_server("127.0.0.1:0", "fault_cap");
+    let mut client = Client::connect(handle.addr());
+    let (code, error) = refusal(&client.call(
+        r#"{"cmd":"submit","workloads":["rspeed","idctrn"],"faults_per_workload":1000000000000,"shards":4294967296}"#,
+    ));
+    assert_eq!(code, "too_many_faults");
+    assert!(error.contains(&MAX_TOTAL_FAULTS.to_string()), "{error}");
+    assert!(is_ok(&client.call(r#"{"cmd":"ping"}"#)));
+
+    let at_cap = format!(
+        r#"{{"cmd":"submit","workloads":["rspeed","idctrn"],"faults_per_workload":{}}}"#,
+        MAX_TOTAL_FAULTS / 2
+    );
+    let accepted: SubmitResponse = send_ok(&handle, &at_cap);
+    assert_eq!(accepted.faults, MAX_TOTAL_FAULTS);
     assert!(is_ok(&send(&handle, r#"{"cmd":"ping"}"#)));
 
     handle.shutdown();
