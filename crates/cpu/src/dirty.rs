@@ -19,6 +19,12 @@
 //!   simulation; the watch fires the cycle golden's committed bit first
 //!   disagrees with the stuck value, which is exactly when the faulty
 //!   machine first diverges from golden.
+//!
+//! Those two work on any core: they take the core's flop registry
+//! ([`crate::CoreModel::registry`]) and need only that its state type
+//! be complete, which every [`crate::CoreModel`] guarantees. The rest
+//! of the module is specific to LR5's [`CpuState`]:
+//!
 //! * The *quiet set* — register file, return-address stack, CSRs and
 //!   counters — is the state a parked transient may differ in:
 //!   [`quiet_confined`] admits a lane whose whole difference lies there,
@@ -29,13 +35,12 @@ use std::sync::OnceLock;
 
 use lockstep_isa::Csr;
 
-use crate::flops::registry;
+use crate::flops::{registry, FlopReg};
 use crate::state::CpuState;
 use crate::units::UnitId;
 
 /// Cached location of the last known state difference: an index into
-/// [`registry`] plus a lane within that
-/// register.
+/// a core's flop registry plus a lane within that register.
 ///
 /// Purely an accelerator — [`converged`] is correct for any witness
 /// value, including the default empty one.
@@ -51,8 +56,9 @@ impl DirtyWitness {
     }
 }
 
-/// Whether `a` and `b` are bit-identical CPU states, updating `witness`
-/// with the location of a difference when they are not.
+/// Whether `a` and `b` are bit-identical states of the core whose flop
+/// registry is `regs`, updating `witness` with the location of a
+/// difference when they are not.
 ///
 /// Fast paths, in order:
 ///
@@ -63,8 +69,12 @@ impl DirtyWitness {
 /// 3. the registry is clean: fall back to the whole-struct equality,
 ///    which is authoritative (it also covers bits above a register's
 ///    declared width, which the masked registry reads cannot see).
-pub fn converged(a: &CpuState, b: &CpuState, witness: &mut DirtyWitness) -> bool {
-    let regs = registry();
+pub fn converged<S: PartialEq>(
+    regs: &[FlopReg<S>],
+    a: &S,
+    b: &S,
+    witness: &mut DirtyWitness,
+) -> bool {
     if let Some((r, l)) = witness.pair {
         let reg = &regs[r as usize];
         if reg.read(a, l as usize) != reg.read(b, l as usize) {
@@ -321,7 +331,7 @@ impl QuietResidue {
 /// now disagrees with them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaneWatch {
-    /// Index into [`registry`].
+    /// Index into the core's flop registry.
     pub reg: u16,
     /// Lane within the register.
     pub lane: u16,
@@ -346,8 +356,9 @@ impl LaneWatch {
     /// committed value: bit `b` of the result is set when a stuck-at-0
     /// fault watches a bit that is now 1, or a stuck-at-1 fault watches
     /// a bit that is now 0. Two `u64` ops check up to 128 parked faults.
-    pub fn triggered(&self, state: &CpuState) -> u64 {
-        let v = registry()[self.reg as usize].read(state, self.lane as usize);
+    /// `regs` is the registry of the core `state` belongs to.
+    pub fn triggered<S>(&self, regs: &[FlopReg<S>], state: &S) -> u64 {
+        let v = regs[self.reg as usize].read(state, self.lane as usize);
         (v & self.stuck0) | (!v & self.stuck1)
     }
 }
@@ -362,11 +373,11 @@ mod tests {
         let a = CpuState::reset(0);
         let b = a.clone();
         let mut w = DirtyWitness::new();
-        assert!(converged(&a, &b, &mut w));
+        assert!(converged(registry(), &a, &b, &mut w));
         assert_eq!(w, DirtyWitness::new());
         // A stale witness must not produce a false negative.
         let mut stale = DirtyWitness { pair: Some((0, 0)) };
-        assert!(converged(&a, &b, &mut stale));
+        assert!(converged(registry(), &a, &b, &mut stale));
     }
 
     #[test]
@@ -376,10 +387,10 @@ mod tests {
             let mut b = a.clone();
             flip_bit(&mut b, id);
             let mut w = DirtyWitness::new();
-            assert!(!converged(&a, &b, &mut w), "{} not seen", label_of(id));
+            assert!(!converged(registry(), &a, &b, &mut w), "{} not seen", label_of(id));
             assert_eq!(w.pair, Some((id.reg, id.lane)), "{} witness wrong", label_of(id));
             // Second query hits the witness fast path.
-            assert!(!converged(&a, &b, &mut w));
+            assert!(!converged(registry(), &a, &b, &mut w));
         }
     }
 
@@ -391,15 +402,15 @@ mod tests {
         let mut b = a.clone();
         flip_bit(&mut b, first);
         let mut w = DirtyWitness::new();
-        assert!(!converged(&a, &b, &mut w));
+        assert!(!converged(registry(), &a, &b, &mut w));
         // Heal the first difference, introduce another elsewhere: the
         // stale witness misses, the rescan must find the new pair.
         flip_bit(&mut b, first);
         flip_bit(&mut b, last);
-        assert!(!converged(&a, &b, &mut w));
+        assert!(!converged(registry(), &a, &b, &mut w));
         assert_eq!(w.pair, Some((last.reg, last.lane)));
         flip_bit(&mut b, last);
-        assert!(converged(&a, &b, &mut w));
+        assert!(converged(registry(), &a, &b, &mut w));
     }
 
     #[test]
@@ -417,12 +428,12 @@ mod tests {
             watch.stuck0 |= 1 << id.bit;
         }
         assert!(!watch.is_empty());
-        assert_eq!(watch.triggered(&state), 0);
+        assert_eq!(watch.triggered(registry(), &state), 0);
 
         // Golden's bit flips away from the stuck value: trigger fires.
         let mut moved = state.clone();
         flip_bit(&mut moved, id);
-        assert_eq!(watch.triggered(&moved), 1 << id.bit);
+        assert_eq!(watch.triggered(registry(), &moved), 1 << id.bit);
     }
 
     #[test]
@@ -444,7 +455,7 @@ mod tests {
                 } else {
                     watch.stuck0 = 1 << id.bit;
                 }
-                let fired = watch.triggered(&state) & (1 << id.bit) != 0;
+                let fired = watch.triggered(registry(), &state) & (1 << id.bit) != 0;
                 assert_eq!(
                     fired,
                     get_bit(&state, id) != stuck1,
@@ -545,6 +556,30 @@ mod tests {
     }
 
     #[test]
+    fn converged_and_watch_work_on_any_core_registry() {
+        use crate::flops::{all_flops_in, flip_bit_in, get_bit_in};
+        use crate::lr7::Lr7State;
+        use crate::CoreModel;
+
+        let regs = crate::Lr7::registry();
+        let a = Lr7State::reset(0);
+        for id in all_flops_in(regs).step_by(89) {
+            let mut b = a.clone();
+            flip_bit_in(regs, &mut b, id);
+            let mut w = DirtyWitness::new();
+            assert!(!converged(regs, &a, &b, &mut w));
+            assert_eq!(w.pair, Some((id.reg, id.lane)));
+            flip_bit_in(regs, &mut b, id);
+            assert!(converged(regs, &a, &b, &mut w));
+
+            let mut watch = LaneWatch::new(id.reg, id.lane);
+            watch.stuck1 = 1 << id.bit;
+            let fired = watch.triggered(regs, &a) != 0;
+            assert_eq!(fired, !get_bit_in(regs, &a, id));
+        }
+    }
+
+    #[test]
     fn rf_registry_index_is_the_register_bank() {
         let reg = &registry()[rf_registry_index() as usize];
         assert_eq!(reg.name, "regs");
@@ -566,7 +601,7 @@ mod tests {
             .unwrap();
         flip_bit(&mut b, rf_high);
         let mut w = DirtyWitness::new();
-        assert!(!converged(&a, &b, &mut w));
+        assert!(!converged(registry(), &a, &b, &mut w));
         assert_eq!(w.pair, Some((rf_high.reg, rf_high.lane)));
         let _ = FlopId { reg: rf_high.reg, lane: rf_high.lane, bit: rf_high.bit };
     }

@@ -50,11 +50,17 @@
 //!    value, so the fault stays parked until that register is read
 //!    rather than waking on every bit flip.
 //!
+//! Fan-out, the full-state early-out and the watches need only the
+//! [`CoreModel`] contract, so [`run_batch_group_for`] runs them on any
+//! core; quiet parking decodes the LR5 pipeline's own touch sites, so
+//! only LR5's [`run_batch_group`] adds it. [`CoreBatch`] picks the
+//! engine per core.
+//!
 //! The walker doubles as the live golden twin: it re-produces the
 //! recorded [`PortTrace`] (debug-asserted every cycle), so it *is* the
 //! fault-free twin the lanes are compared against, and the batched
 //! engine produces archives byte-identical to the scalar engine
-//! (`tests/batch_equivalence.rs`).
+//! (`tests/batch_equivalence.rs`, `tests/lr7_equivalence.rs`).
 
 use lockstep_core::Dsr;
 use lockstep_cpu::dirty::{
@@ -62,10 +68,10 @@ use lockstep_cpu::dirty::{
     QUIET_COUNTERS, QUIET_RF,
 };
 use lockstep_cpu::exec::{quiet_touch, rf_write_of};
-use lockstep_cpu::{flops, CoreModel, Cpu, CpuState, Lr7, PortSet, PortTrace, Sc};
+use lockstep_cpu::{flops, CoreModel, Cpu, CpuState, FlopReg, Lr7, PortSet, PortTrace, Sc};
 use lockstep_fault::{Fault, FaultKind};
 use lockstep_mem::{Memory, TrialLog, TrialView};
-use lockstep_workloads::GoldenCheckpoints;
+use lockstep_workloads::{Checkpoint, GoldenCheckpoints};
 
 /// How many times one stuck-at fault may be re-parked after waking. A
 /// fault that keeps oscillating between parked and live costs a watch
@@ -166,14 +172,22 @@ impl BatchCost {
 /// one machine). Note what is *not* here: a memory image. A live lane
 /// has, by definition, matched golden's ports so far, so its memory is
 /// bit-identical to the walker's — it reads the walker's image through
-/// a [`TrialView`] and owns ~a `CpuState` of private data, which is
+/// a [`TrialView`] and owns ~a core state of private data, which is
 /// what lets thousands of lanes stay cache-resident at once.
-struct Lane {
-    cpu: Cpu,
+struct Lane<C> {
+    cpu: C,
     fault: Fault,
     outs: Vec<usize>,
     witness: DirtyWitness,
     reparks: u32,
+}
+
+impl<C: CoreModel> Lane<C> {
+    /// A lane running `state`, with nothing yet known about where it
+    /// differs from golden.
+    fn new(state: C::State, fault: Fault, outs: Vec<usize>, reparks: u32) -> Lane<C> {
+        Lane { cpu: C::from_state(state), fault, outs, witness: DirtyWitness::new(), reparks }
+    }
 }
 
 /// A stuck-at waiting in a watch: zero simulation until golden's bit
@@ -276,15 +290,181 @@ fn forced(v: u64, bit: u8, stuck1: bool) -> u64 {
     }
 }
 
-/// Forks a capture-window memory image off the walker's, recycling a
-/// retired image when one is available.
-fn fork_mem(mem_pool: &mut Vec<Memory>, wmem: &Memory) -> Memory {
-    match mem_pool.pop() {
-        Some(mut m) => {
-            m.copy_from(wmem);
-            m
+/// Whether stuck-at `f` forces its flop to the value `state` already
+/// holds there — then its overlay is the identity on `state`.
+fn agrees<S>(regs: &[FlopReg<S>], f: Fault, state: &S) -> bool {
+    f.kind != FaultKind::Transient
+        && flops::get_bit_in(regs, state, f.flop) == (f.kind == FaultKind::StuckAt1)
+}
+
+/// The golden checkpoint a walker restores to reach `cycle`.
+fn nearest<S>(checkpoints: &GoldenCheckpoints<S>, cycle: u64) -> &Checkpoint<S> {
+    checkpoints.nearest_at(cycle).expect("golden captures always include the cycle-0 checkpoint")
+}
+
+/// The fault-free walker: golden's machine and memory, replayed from a
+/// checkpoint through the group's span. It re-produces the recorded
+/// [`PortTrace`] (debug-asserted every cycle), so it *is* the
+/// fault-free twin the lanes are compared against.
+struct Walker<C> {
+    cpu: C,
+    mem: Memory,
+    ports: PortSet,
+    /// The cycle the walker steps next; its state is golden's committed
+    /// state at the end of `cycle - 1`.
+    cycle: u64,
+}
+
+impl<C: CoreModel> Walker<C> {
+    /// Orders a group's faults by strike cycle and restores the walker
+    /// from the checkpoint nearest the first one. Ties keep input order
+    /// so exact duplicates collapse deterministically. Faults striking
+    /// past the golden run are masked by construction (the scalar
+    /// engines skip them the same way) and are left out; `None` when no
+    /// fault is left.
+    fn start(
+        checkpoints: &GoldenCheckpoints<C::State>,
+        trace_len: u64,
+        faults: &[Fault],
+        cost: &mut BatchCost,
+    ) -> Option<(Walker<C>, Vec<usize>)> {
+        let mut order: Vec<usize> = (0..faults.len()).collect();
+        order.sort_by_key(|&i| faults[i].cycle);
+        let in_range: Vec<usize> =
+            order.into_iter().filter(|&i| faults[i].cycle < trace_len).collect();
+        cost.skipped_cycles += trace_len * (faults.len() - in_range.len()) as u64;
+        let cp = nearest(checkpoints, faults[*in_range.first()?].cycle);
+        cost.skipped_cycles += cp.cycle;
+        let walker = Walker {
+            cpu: C::from_state(cp.cpu.clone()),
+            mem: cp.mem.clone(),
+            ports: PortSet::new(),
+            cycle: cp.cycle,
+        };
+        Some((walker, in_range))
+    }
+
+    /// With nothing to simulate before `target`, jumps forward over any
+    /// checkpoint between here and there.
+    fn skip_to(
+        &mut self,
+        checkpoints: &GoldenCheckpoints<C::State>,
+        target: u64,
+        cost: &mut BatchCost,
+    ) {
+        if target <= self.cycle {
+            return;
         }
-        None => wmem.clone(),
+        let cp = nearest(checkpoints, target);
+        if cp.cycle > self.cycle {
+            self.cpu = C::from_state(cp.cpu.clone());
+            self.mem = cp.mem.clone();
+            cost.skipped_cycles += cp.cycle - self.cycle;
+            self.cycle = cp.cycle;
+        }
+    }
+
+    /// Walks the fault-free machine through its cycle, whose recorded
+    /// golden ports are `gp`.
+    fn step(&mut self, gp: &PortSet, cost: &mut BatchCost) {
+        self.cpu.step(&mut self.mem, &mut self.ports);
+        debug_assert_eq!(
+            self.ports.diff_mask(gp),
+            0,
+            "fault-free walker diverged from the recorded golden trace at cycle {}",
+            self.cycle
+        );
+        self.cycle += 1;
+        cost.replayed_cycles += 1;
+    }
+}
+
+/// What a lane needs besides itself to step one cycle and, should it
+/// diverge, to run its DSR capture window: the golden trace, the window
+/// length, and buffers reused across the whole group.
+struct Capture<'a> {
+    trace: &'a PortTrace,
+    window: u32,
+    mem_pool: Vec<Memory>,
+    ports: PortSet,
+    log: TrialLog,
+}
+
+impl<'a> Capture<'a> {
+    fn new(trace: &'a PortTrace, window: u32) -> Capture<'a> {
+        assert!(window >= 1, "capture window must be at least one cycle");
+        Capture { trace, window, mem_pool: Vec::new(), ports: PortSet::new(), log: TrialLog::new() }
+    }
+
+    /// Forks a capture-window memory image off the walker's, recycling
+    /// a retired image when one is available.
+    fn fork_mem(&mut self, wmem: &Memory) -> Memory {
+        match self.mem_pool.pop() {
+            Some(mut m) => {
+                m.copy_from(wmem);
+                m
+            }
+            None => wmem.clone(),
+        }
+    }
+}
+
+/// Steps every live lane through cycle `at` *before* the walker,
+/// speculatively against the walker's image `wmem` (which at this point
+/// holds golden memory as of the start of `at` — identical to the
+/// lane's own, see [`Lane`]). A lane whose ports still match golden's
+/// `gp` discards its trial log: the walker is about to apply the very
+/// same side effects for it. A lane that diverges is materialized on
+/// the spot — fork the pre-`at` image, replay the divergent cycle's log
+/// onto it, and finish the DSR capture window against the trace with
+/// real memory (identical values to a live twin), clamped to the end of
+/// the golden run like the scalar engines — and retires with its
+/// outcome.
+fn step_lanes<C: CoreModel>(
+    lanes: &mut Vec<Lane<C>>,
+    wmem: &Memory,
+    gp: &PortSet,
+    at: u64,
+    cap: &mut Capture,
+    outcomes: &mut [Option<(u64, Dsr)>],
+    cost: &mut BatchCost,
+) {
+    let trace_len = cap.trace.len();
+    let mut li = 0;
+    while li < lanes.len() {
+        let lane = &mut lanes[li];
+        let f = lane.fault;
+        cap.log.clear();
+        let mut view = TrialView::new(wmem, &mut cap.log);
+        if f.kind == FaultKind::Transient {
+            // Past its strike a transient's overlay is the identity.
+            lane.cpu.step(&mut view, &mut cap.ports);
+        } else {
+            lane.cpu.step_with_overlay(&mut view, &mut cap.ports, |st| f.overlay_for::<C>(st, at));
+        }
+        cost.replayed_cycles += 1;
+        let diff = cap.ports.diff_mask(gp);
+        if diff == 0 {
+            li += 1;
+            continue;
+        }
+        let mut mem = cap.fork_mem(wmem);
+        mem.apply_trial(&cap.log);
+        let mut dsr_bits = diff;
+        let mut c = at + 1;
+        while c < at + u64::from(cap.window) && c < trace_len {
+            lane.cpu.step_with_overlay(&mut mem, &mut cap.ports, |st| f.overlay_for::<C>(st, c));
+            dsr_bits |=
+                cap.ports.diff_mask(cap.trace.get(c).expect("capture within the golden trace"));
+            cost.replayed_cycles += 1;
+            c += 1;
+        }
+        let out = Some((at, Dsr::from_bits(dsr_bits)));
+        for &o in &lane.outs {
+            outcomes[o] = out;
+        }
+        cap.mem_pool.push(mem);
+        lanes.swap_remove(li);
     }
 }
 
@@ -305,12 +485,106 @@ fn park(watches: &mut Vec<WatchGroup>, fault: Fault, outs: Vec<usize>, reparks: 
     group.parked.push(Parked { fault, outs, reparks });
 }
 
-/// Runs one batched group: every fault in `faults` is injected into the
-/// golden execution described by `checkpoints` + `trace`, sharing a
-/// single fault-free walker replay of the group's span. Returns one
-/// outcome per fault, aligned with the input order: `Some((detect
-/// cycle, DSR))` for a manifested error, `None` for a masked fault —
-/// bit-identical to running each fault through the scalar engines.
+/// Wakes the parked stuck-ats whose bit golden's `committed` state (the
+/// end of cycle `at`) now disagrees with: each becomes a scalar lane off
+/// the committed state with its overlay applied. Two u64 ops filter each
+/// watch group; only a firing group pays the per-entry scan.
+fn wake_watches<C: CoreModel>(
+    watches: &mut Vec<WatchGroup>,
+    lanes: &mut Vec<Lane<C>>,
+    committed: &C::State,
+    at: u64,
+    cost: &mut BatchCost,
+) {
+    let regs = C::registry();
+    let first_new = lanes.len();
+    let mut wi = 0;
+    while wi < watches.len() {
+        if watches[wi].watch.triggered(regs, committed) == 0 {
+            wi += 1;
+            continue;
+        }
+        let parked = std::mem::take(&mut watches[wi].parked);
+        let mut kept = Vec::new();
+        for entry in parked {
+            if agrees(regs, entry.fault, committed) {
+                kept.push(entry);
+                continue;
+            }
+            // Woken entries forcing the same bit share one machine:
+            // their futures are identical from this cycle on.
+            if let Some(lane) = lanes[first_new..]
+                .iter_mut()
+                .find(|l| l.fault.flop == entry.fault.flop && l.fault.kind == entry.fault.kind)
+            {
+                lane.outs.extend(entry.outs);
+                continue;
+            }
+            let mut st = committed.clone();
+            entry.fault.overlay_for::<C>(&mut st, at);
+            lanes.push(Lane::new(st, entry.fault, entry.outs, entry.reparks));
+            cost.lane_activations += 1;
+        }
+        let group = &mut watches[wi];
+        group.parked = kept;
+        group.watch.stuck0 = 0;
+        group.watch.stuck1 = 0;
+        for entry in &group.parked {
+            if entry.fault.kind == FaultKind::StuckAt1 {
+                group.watch.stuck1 |= 1 << entry.fault.flop.bit;
+            } else {
+                group.watch.stuck0 |= 1 << entry.fault.flop.bit;
+            }
+        }
+        if group.parked.is_empty() {
+            watches.swap_remove(wi);
+        } else {
+            wi += 1;
+        }
+    }
+}
+
+/// Adds fault `i` to the lane or watch entry already running its exact
+/// duplicate `f` (same flop, kind and strike cycle: an identical
+/// future); `false` when there is none.
+fn join_duplicate<C>(
+    lanes: &mut [Lane<C>],
+    watches: &mut [WatchGroup],
+    f: Fault,
+    i: usize,
+) -> bool {
+    if let Some(lane) = lanes.iter_mut().find(|l| l.fault == f) {
+        lane.outs.push(i);
+        return true;
+    }
+    if let Some(entry) = watches.iter_mut().flat_map(|g| g.parked.iter_mut()).find(|e| e.fault == f)
+    {
+        entry.outs.push(i);
+        return true;
+    }
+    false
+}
+
+/// Counts the faults still parked in a watch at the end of the trace:
+/// masked without simulating a single cycle.
+fn count_parked(watches: &[WatchGroup], cost: &mut BatchCost) {
+    for group in watches {
+        for entry in &group.parked {
+            cost.parked_masked += entry.outs.len() as u64;
+        }
+    }
+}
+
+/// Runs one batched group on LR5: every fault in `faults` is injected
+/// into the golden execution described by `checkpoints` + `trace`,
+/// sharing a single fault-free walker replay of the group's span.
+/// Returns one outcome per fault, aligned with the input order:
+/// `Some((detect cycle, DSR))` for a manifested error, `None` for a
+/// masked fault — bit-identical to running each fault through the
+/// scalar engines.
+///
+/// This is [`run_batch_group_for`] plus LR5's quiet parking, which
+/// rides inside the early-out and parked-lane layers.
 ///
 /// The walker restores the checkpoint nearest the earliest in-range
 /// fault; callers typically pre-group faults so one call covers one
@@ -324,65 +598,36 @@ pub fn run_batch_group(
     window: u32,
     layers: BatchConfig,
 ) -> (Vec<Option<(u64, Dsr)>>, BatchCost) {
-    assert!(window >= 1, "capture window must be at least one cycle");
+    let mut cap = Capture::new(trace, window);
     let trace_len = trace.len();
     let mut outcomes: Vec<Option<(u64, Dsr)>> = vec![None; faults.len()];
     let mut cost = BatchCost::default();
-
-    // Strike order; ties keep input order so exact duplicates collapse
-    // deterministically. Faults striking past the golden run are masked
-    // by construction (the scalar engines skip them the same way).
-    let mut order: Vec<usize> = (0..faults.len()).collect();
-    order.sort_by_key(|&i| faults[i].cycle);
-    let in_range: Vec<usize> = order.into_iter().filter(|&i| faults[i].cycle < trace_len).collect();
-    cost.skipped_cycles += trace_len * (faults.len() - in_range.len()) as u64;
-    let Some(&first) = in_range.first() else {
+    let Some((mut walker, in_range)) =
+        Walker::<Cpu>::start(checkpoints, trace_len, faults, &mut cost)
+    else {
         return (outcomes, cost);
     };
 
-    let cp = checkpoints
-        .nearest_at(faults[first].cycle)
-        .expect("golden captures always include the cycle-0 checkpoint");
-    let mut wcpu = Cpu::from_state(cp.cpu.clone());
-    let mut wmem = cp.mem.clone();
-    let mut wports = PortSet::new();
-    let mut cycle = cp.cycle;
-    cost.skipped_cycles += cp.cycle;
-
+    let regs = flops::registry();
     let mut pending = in_range.into_iter().peekable();
-    let mut lanes: Vec<Lane> = Vec::new();
+    let mut lanes: Vec<Lane<Cpu>> = Vec::new();
     let mut watches: Vec<WatchGroup> = Vec::new();
     let mut lot: Vec<QuietParked> = Vec::new();
     let rf_idx = rf_registry_index();
     // Cached `quiet_masks` aggregates, refreshed whenever the lot changes.
     let mut lot_stale = false;
     let (mut lot_wake, mut lot_stuck_rf, mut lot_watched) = (0u64, 0u32, 0usize);
-    let mut mem_pool: Vec<Memory> = Vec::new();
-    let mut lports = PortSet::new();
-    let mut log = TrialLog::new();
 
-    while cycle < trace_len {
+    while walker.cycle < trace_len {
         if lanes.is_empty() && watches.is_empty() && lot.is_empty() {
-            // Idle: nothing to simulate until the next strike. Jump the
-            // walker forward over any checkpoint between here and there.
+            // Idle: nothing to simulate until the next strike.
             let Some(&i) = pending.peek() else {
                 break;
             };
-            let target = faults[i].cycle;
-            if target > cycle {
-                let cp = checkpoints
-                    .nearest_at(target)
-                    .expect("golden captures always include the cycle-0 checkpoint");
-                if cp.cycle > cycle {
-                    wcpu = Cpu::from_state(cp.cpu.clone());
-                    wmem = cp.mem.clone();
-                    cost.skipped_cycles += cp.cycle - cycle;
-                    cycle = cp.cycle;
-                }
-            }
+            walker.skip_to(checkpoints, faults[i].cycle, &mut cost);
         }
 
-        let at = cycle;
+        let at = walker.cycle;
         let gp = trace.get(at).expect("walker within the golden trace");
 
         // (0) Quiet parking lot, checked against the walker's *pre*-cycle
@@ -402,7 +647,7 @@ pub fn run_batch_group(
                 (lot_wake, lot_stuck_rf, lot_watched) = quiet_masks(&lot, rf_idx);
                 lot_stale = false;
             }
-            let pre = wcpu.state();
+            let pre = walker.cpu.state();
             let touch = quiet_touch(pre, gp.get(Sc::ExcCtl) & 1 == 1);
             let wr = rf_write_of(pre);
             let write_hits = wr.is_some_and(|(r, _)| {
@@ -415,13 +660,8 @@ pub fn run_batch_group(
                     let e = &mut lot[pi];
                     if touch & (e.residue.dirty() | held_pair(e.fault, rf_idx)) != 0 {
                         let entry = lot.swap_remove(pi);
-                        lanes.push(Lane {
-                            cpu: Cpu::from_state(entry.residue.materialize(pre)),
-                            fault: entry.fault,
-                            outs: entry.outs,
-                            witness: DirtyWitness::new(),
-                            reparks: entry.reparks,
-                        });
+                        let st = entry.residue.materialize(pre);
+                        lanes.push(Lane::new(st, entry.fault, entry.outs, entry.reparks));
                         cost.lane_activations += 1;
                         lot_stale = true;
                         continue;
@@ -456,64 +696,11 @@ pub fn run_batch_group(
             }
         }
 
-        // (1) Step every live lane through cycle `at` *before* the
-        // walker, speculatively against the walker's image (which at
-        // this point holds golden memory as of the start of `at` —
-        // identical to the lane's own, see `Lane`). A lane whose ports
-        // still match golden discards its trial log: the walker is
-        // about to apply the very same side effects for it. A lane
-        // that diverges is materialized on the spot — fork the pre-`at`
-        // image, replay the divergent cycle's log onto it, and finish
-        // the DSR capture window against the trace with real memory
-        // (identical values to a live twin), clamped to the end of the
-        // golden run like the scalar engines.
-        let mut li = 0;
-        while li < lanes.len() {
-            let lane = &mut lanes[li];
-            let f = lane.fault;
-            log.clear();
-            let mut view = TrialView::new(&wmem, &mut log);
-            if f.kind == FaultKind::Transient {
-                // Past its strike a transient's overlay is the identity.
-                lane.cpu.step(&mut view, &mut lports);
-            } else {
-                lane.cpu.step_with_overlay(&mut view, &mut lports, |st| f.overlay(st, at));
-            }
-            cost.replayed_cycles += 1;
-            let diff = lports.diff_mask(gp);
-            if diff == 0 {
-                li += 1;
-                continue;
-            }
-            let mut mem = fork_mem(&mut mem_pool, &wmem);
-            mem.apply_trial(&log);
-            let mut dsr_bits = diff;
-            let mut c = at + 1;
-            while c < at + u64::from(window) && c < trace_len {
-                lane.cpu.step_with_overlay(&mut mem, &mut lports, |st| f.overlay(st, c));
-                dsr_bits |=
-                    lports.diff_mask(trace.get(c).expect("capture within the golden trace"));
-                cost.replayed_cycles += 1;
-                c += 1;
-            }
-            let out = Some((at, Dsr::from_bits(dsr_bits)));
-            for &o in &lane.outs {
-                outcomes[o] = out;
-            }
-            mem_pool.push(mem);
-            lanes.swap_remove(li);
-        }
-
-        // (2) Walk the fault-free golden machine through cycle `at`.
-        wcpu.step(&mut wmem, &mut wports);
-        debug_assert_eq!(
-            wports.diff_mask(gp),
-            0,
-            "fault-free walker diverged from the recorded golden trace at cycle {at}"
-        );
-        cycle += 1;
-        cost.replayed_cycles += 1;
-        let committed = wcpu.state();
+        // (1) Step every live lane through `at`, (2) then the walker.
+        step_lanes(&mut lanes, &walker.mem, gp, at, &mut cap, &mut outcomes, &mut cost);
+        walker.step(gp, &mut cost);
+        let cycle = walker.cycle;
+        let committed = walker.cpu.state();
 
         // (3) Convergence checks against the walker's committed state
         // (both machines are now post-`at`, so the comparison is exact):
@@ -544,7 +731,7 @@ pub fn run_batch_group(
             // registry walk every cycle.
             let verdict = if lane.reparks < REPARK_CAP {
                 quiet_confined(lane.cpu.state(), committed, &mut lane.witness)
-            } else if converged(lane.cpu.state(), committed, &mut lane.witness) {
+            } else if converged(regs, lane.cpu.state(), committed, &mut lane.witness) {
                 Some(0)
             } else {
                 None
@@ -584,61 +771,8 @@ pub fn run_batch_group(
             }
         }
 
-        // (4) Wake parked stuck-ats whose bit golden's committed state
-        // now disagrees with. Two u64 ops filter each watch group; only
-        // a firing group pays the per-entry scan.
-        let first_new = lanes.len();
-        let mut wi = 0;
-        while wi < watches.len() {
-            if watches[wi].watch.triggered(committed) == 0 {
-                wi += 1;
-                continue;
-            }
-            let parked = std::mem::take(&mut watches[wi].parked);
-            let mut kept = Vec::new();
-            for entry in parked {
-                let stuck1 = entry.fault.kind == FaultKind::StuckAt1;
-                if flops::get_bit(committed, entry.fault.flop) == stuck1 {
-                    kept.push(entry);
-                    continue;
-                }
-                // Woken entries forcing the same bit share one machine:
-                // their futures are identical from this cycle on.
-                if let Some(lane) = lanes[first_new..]
-                    .iter_mut()
-                    .find(|l| l.fault.flop == entry.fault.flop && l.fault.kind == entry.fault.kind)
-                {
-                    lane.outs.extend(entry.outs);
-                    continue;
-                }
-                let mut st = committed.clone();
-                entry.fault.overlay(&mut st, at);
-                lanes.push(Lane {
-                    cpu: Cpu::from_state(st),
-                    fault: entry.fault,
-                    outs: entry.outs,
-                    witness: DirtyWitness::new(),
-                    reparks: entry.reparks,
-                });
-                cost.lane_activations += 1;
-            }
-            let group = &mut watches[wi];
-            group.parked = kept;
-            group.watch.stuck0 = 0;
-            group.watch.stuck1 = 0;
-            for entry in &group.parked {
-                if entry.fault.kind == FaultKind::StuckAt1 {
-                    group.watch.stuck1 |= 1 << entry.fault.flop.bit;
-                } else {
-                    group.watch.stuck0 |= 1 << entry.fault.flop.bit;
-                }
-            }
-            if group.parked.is_empty() {
-                watches.swap_remove(wi);
-            } else {
-                wi += 1;
-            }
-        }
+        // (4) Wake parked stuck-ats whose bit golden now disagrees with.
+        wake_watches(&mut watches, &mut lanes, committed, at, &mut cost);
 
         // (4b) Parked stuck-ats on a counter or outside the quiet set
         // stay in provable lockstep only while golden's bit agrees with
@@ -657,25 +791,15 @@ pub fn run_batch_group(
                 if e.fault.kind == FaultKind::Transient
                     || e.fault.flop.reg == rf_idx
                     || held_pair(e.fault, rf_idx) != 0
+                    || agrees(regs, e.fault, committed)
                 {
-                    pi += 1;
-                    continue;
-                }
-                let stuck1 = e.fault.kind == FaultKind::StuckAt1;
-                if flops::get_bit(committed, e.fault.flop) == stuck1 {
                     pi += 1;
                     continue;
                 }
                 let entry = lot.swap_remove(pi);
                 let mut st = entry.residue.materialize(committed);
                 entry.fault.overlay(&mut st, at);
-                lanes.push(Lane {
-                    cpu: Cpu::from_state(st),
-                    fault: entry.fault,
-                    outs: entry.outs,
-                    witness: DirtyWitness::new(),
-                    reparks: entry.reparks,
-                });
+                lanes.push(Lane::new(st, entry.fault, entry.outs, entry.reparks));
                 cost.lane_activations += 1;
                 lot_stale = true;
             }
@@ -688,14 +812,7 @@ pub fn run_batch_group(
         while pending.peek().is_some_and(|&i| faults[i].cycle == at) {
             let i = pending.next().expect("peeked");
             let f = faults[i];
-            if let Some(lane) = lanes.iter_mut().find(|l| l.fault == f) {
-                lane.outs.push(i);
-                continue;
-            }
-            if let Some(entry) =
-                watches.iter_mut().flat_map(|g| g.parked.iter_mut()).find(|e| e.fault == f)
-            {
-                entry.outs.push(i);
+            if join_duplicate(&mut lanes, &mut watches, f, i) {
                 continue;
             }
             if let Some(entry) = lot.iter_mut().find(|e| e.fault == f) {
@@ -710,7 +827,7 @@ pub fn run_batch_group(
             // wakes it when its RAS entry or CSR is touched.
             if let Some(bit) = quiet_bit(f.flop.reg, f.flop.lane) {
                 let lane = usize::from(f.flop.lane);
-                let g = flops::registry()[usize::from(f.flop.reg)].read(committed, lane);
+                let g = regs[usize::from(f.flop.reg)].read(committed, lane);
                 let faulty = if f.kind == FaultKind::Transient {
                     layers.early_out.then_some(g ^ 1 << f.flop.bit)
                 } else if layers.parked_lanes && (f.flop.reg == rf_idx || held_pair(f, rf_idx) != 0)
@@ -733,22 +850,13 @@ pub fn run_batch_group(
                     continue;
                 }
             }
-            let stuck1 = f.kind == FaultKind::StuckAt1;
-            let agrees =
-                f.kind != FaultKind::Transient && flops::get_bit(committed, f.flop) == stuck1;
-            if agrees && layers.parked_lanes {
+            if layers.parked_lanes && agrees(regs, f, committed) {
                 park(&mut watches, f, vec![i], 0);
                 continue;
             }
             let mut st = committed.clone();
             f.overlay(&mut st, at);
-            lanes.push(Lane {
-                cpu: Cpu::from_state(st),
-                fault: f,
-                outs: vec![i],
-                witness: DirtyWitness::new(),
-                reparks: 0,
-            });
+            lanes.push(Lane::new(st, f, vec![i], 0));
             cost.lane_activations += 1;
         }
     }
@@ -756,11 +864,7 @@ pub fn run_batch_group(
     // Faults still parked (or still live) at the end of the trace are
     // masked; `outcomes` already says so. Parked ones never cost a
     // simulated cycle — worth counting.
-    for group in &watches {
-        for entry in &group.parked {
-            cost.parked_masked += entry.outs.len() as u64;
-        }
-    }
+    count_parked(&watches, &mut cost);
     for entry in &lot {
         let n = entry.outs.len() as u64;
         if entry.fault.kind == FaultKind::Transient {
@@ -773,19 +877,117 @@ pub fn run_batch_group(
     (outcomes, cost)
 }
 
-/// Per-core batched-engine capability. The accelerator layers (dirty-
-/// set early-out, quiet parking, bit-parallel watches) are proofs about
-/// the LR5 microstructure — its few decodable read and write sites of
-/// quiet state — so only [`Cpu`] runs them. Other
-/// cores clamp to the core-agnostic fan-out substrate, which is still
-/// byte-identical to their scalar engines (the outcome of a batched
-/// group never depends on the layer set).
-pub trait CoreBatch: CoreModel {
-    /// The layer combination this core's engine actually runs when
-    /// `requested` is configured. Campaign stats record the clamped
-    /// label, so archives describe what really executed.
-    fn clamp_layers(requested: BatchConfig) -> BatchConfig;
+/// Runs one batched group on any core model: [`run_batch_group`]'s
+/// contract, with the layers that do not depend on the core's
+/// microstructure.
+///
+/// * Fan-out (always on): every fault becomes a lane off the walker's
+///   committed state at its strike cycle; lanes stay memoryless behind
+///   a [`TrialView`] until they first diverge.
+/// * `early_out`: a transient's lane retires masked the cycle its state
+///   equals the walker's ([`converged`] over the core's flop registry).
+/// * `parked_lanes`: a stuck-at whose forced bit agrees with golden is
+///   parked in a [`LaneWatch`] instead of stepped — at admission, and
+///   again when a woken lane re-converges (up to [`REPARK_CAP`] times)
+///   — and wakes into a lane off the committed state the cycle golden's
+///   bit disagrees.
+///
+/// Both are sound on any core whose [`CoreModel::State`] is complete: a
+/// lane whose ports have matched golden so far shares the walker's
+/// memory, so equal core state means an identical future (DESIGN.md
+/// §12). Outcomes are bit-identical to the scalar engines whatever the
+/// layer set.
+pub fn run_batch_group_for<C: CoreModel>(
+    checkpoints: &GoldenCheckpoints<C::State>,
+    trace: &PortTrace,
+    faults: &[Fault],
+    window: u32,
+    layers: BatchConfig,
+) -> (Vec<Option<(u64, Dsr)>>, BatchCost) {
+    let mut cap = Capture::new(trace, window);
+    let trace_len = trace.len();
+    let mut outcomes: Vec<Option<(u64, Dsr)>> = vec![None; faults.len()];
+    let mut cost = BatchCost::default();
+    let Some((mut walker, in_range)) =
+        Walker::<C>::start(checkpoints, trace_len, faults, &mut cost)
+    else {
+        return (outcomes, cost);
+    };
 
+    let regs = C::registry();
+    let mut pending = in_range.into_iter().peekable();
+    let mut lanes: Vec<Lane<C>> = Vec::new();
+    let mut watches: Vec<WatchGroup> = Vec::new();
+
+    while walker.cycle < trace_len {
+        if lanes.is_empty() && watches.is_empty() {
+            let Some(&i) = pending.peek() else {
+                break;
+            };
+            walker.skip_to(checkpoints, faults[i].cycle, &mut cost);
+        }
+
+        let at = walker.cycle;
+        let gp = trace.get(at).expect("walker within the golden trace");
+        step_lanes(&mut lanes, &walker.mem, gp, at, &mut cap, &mut outcomes, &mut cost);
+        walker.step(gp, &mut cost);
+        let committed = walker.cpu.state();
+
+        // Convergence against the walker's committed state: a masked
+        // transient retires, a stuck-at whose forced bit agrees with
+        // golden again goes back into a watch.
+        let mut li = 0;
+        while li < lanes.len() {
+            let lane = &mut lanes[li];
+            let f = lane.fault;
+            let checked = match f.kind {
+                FaultKind::Transient => layers.early_out,
+                _ => layers.parked_lanes && lane.reparks < REPARK_CAP,
+            };
+            if !checked || !converged(regs, lane.cpu.state(), committed, &mut lane.witness) {
+                li += 1;
+                continue;
+            }
+            let lane = lanes.swap_remove(li);
+            if f.kind == FaultKind::Transient {
+                let n = lane.outs.len() as u64;
+                cost.masked_early_out += n;
+                cost.early_out_cycles_saved += (trace_len - walker.cycle) * n;
+            } else {
+                park(&mut watches, f, lane.outs, lane.reparks + 1);
+            }
+        }
+
+        wake_watches(&mut watches, &mut lanes, committed, at, &mut cost);
+
+        // Admit faults striking at `at` (exact duplicates share a lane
+        // or a watch entry).
+        while pending.peek().is_some_and(|&i| faults[i].cycle == at) {
+            let i = pending.next().expect("peeked");
+            let f = faults[i];
+            if join_duplicate(&mut lanes, &mut watches, f, i) {
+                continue;
+            }
+            if layers.parked_lanes && agrees(regs, f, committed) {
+                park(&mut watches, f, vec![i], 0);
+                continue;
+            }
+            let mut st = committed.clone();
+            f.overlay_for::<C>(&mut st, at);
+            lanes.push(Lane::new(st, f, vec![i], 0));
+            cost.lane_activations += 1;
+        }
+    }
+
+    count_parked(&watches, &mut cost);
+    (outcomes, cost)
+}
+
+/// Per-core batched engine: LR5 runs [`run_batch_group`], whose quiet
+/// parking decodes LR5's few read and write sites of quiet state; any
+/// other core runs the core-generic [`run_batch_group_for`]. Both honour
+/// every layer set, and a group's outcomes never depend on it.
+pub trait CoreBatch: CoreModel {
     /// Runs one batched group on this core model (see
     /// [`run_batch_group`] for the contract).
     fn run_batch_group(
@@ -798,10 +1000,6 @@ pub trait CoreBatch: CoreModel {
 }
 
 impl CoreBatch for Cpu {
-    fn clamp_layers(requested: BatchConfig) -> BatchConfig {
-        requested
-    }
-
     fn run_batch_group(
         checkpoints: &GoldenCheckpoints,
         trace: &PortTrace,
@@ -814,161 +1012,15 @@ impl CoreBatch for Cpu {
 }
 
 impl CoreBatch for Lr7 {
-    fn clamp_layers(_requested: BatchConfig) -> BatchConfig {
-        BatchConfig::FAN_OUT
-    }
-
     fn run_batch_group(
         checkpoints: &GoldenCheckpoints<<Lr7 as CoreModel>::State>,
         trace: &PortTrace,
         faults: &[Fault],
         window: u32,
-        _layers: BatchConfig,
+        layers: BatchConfig,
     ) -> (Vec<Option<(u64, Dsr)>>, BatchCost) {
-        run_batch_group_fanout::<Lr7>(checkpoints, trace, faults, window)
+        run_batch_group_for::<Lr7>(checkpoints, trace, faults, window, layers)
     }
-}
-
-/// A scalar lane of the core-agnostic fan-out engine: no convergence
-/// witness, no parking — just a faulty machine stepped to detection or
-/// the end of the trace.
-struct FanoutLane<C> {
-    cpu: C,
-    fault: Fault,
-    outs: Vec<usize>,
-}
-
-/// [`run_batch_group`] restricted to layer 1 (fan-out from a shared
-/// walker), generic over the core model. Every fault becomes a scalar
-/// lane off the walker's committed state at its strike cycle; lanes
-/// stay memoryless behind a [`TrialView`] until they first diverge.
-/// Outcomes are bit-identical to the scalar engines for any core whose
-/// checkpoints restore exactly.
-pub fn run_batch_group_fanout<C: CoreModel>(
-    checkpoints: &GoldenCheckpoints<C::State>,
-    trace: &PortTrace,
-    faults: &[Fault],
-    window: u32,
-) -> (Vec<Option<(u64, Dsr)>>, BatchCost) {
-    assert!(window >= 1, "capture window must be at least one cycle");
-    let trace_len = trace.len();
-    let mut outcomes: Vec<Option<(u64, Dsr)>> = vec![None; faults.len()];
-    let mut cost = BatchCost::default();
-
-    let mut order: Vec<usize> = (0..faults.len()).collect();
-    order.sort_by_key(|&i| faults[i].cycle);
-    let in_range: Vec<usize> = order.into_iter().filter(|&i| faults[i].cycle < trace_len).collect();
-    cost.skipped_cycles += trace_len * (faults.len() - in_range.len()) as u64;
-    let Some(&first) = in_range.first() else {
-        return (outcomes, cost);
-    };
-
-    let cp = checkpoints
-        .nearest_at(faults[first].cycle)
-        .expect("golden captures always include the cycle-0 checkpoint");
-    let mut wcpu = C::from_state(cp.cpu.clone());
-    let mut wmem = cp.mem.clone();
-    let mut wports = PortSet::new();
-    let mut cycle = cp.cycle;
-    cost.skipped_cycles += cp.cycle;
-
-    let mut pending = in_range.into_iter().peekable();
-    let mut lanes: Vec<FanoutLane<C>> = Vec::new();
-    let mut mem_pool: Vec<Memory> = Vec::new();
-    let mut lports = PortSet::new();
-    let mut log = TrialLog::new();
-
-    while cycle < trace_len {
-        if lanes.is_empty() {
-            // Idle: jump the walker forward over any checkpoint between
-            // here and the next strike.
-            let Some(&i) = pending.peek() else {
-                break;
-            };
-            let target = faults[i].cycle;
-            if target > cycle {
-                let cp = checkpoints
-                    .nearest_at(target)
-                    .expect("golden captures always include the cycle-0 checkpoint");
-                if cp.cycle > cycle {
-                    wcpu = C::from_state(cp.cpu.clone());
-                    wmem = cp.mem.clone();
-                    cost.skipped_cycles += cp.cycle - cycle;
-                    cycle = cp.cycle;
-                }
-            }
-        }
-
-        let at = cycle;
-        let gp = trace.get(at).expect("walker within the golden trace");
-
-        // Step every live lane through `at` against the walker's image
-        // (identical to the lane's own while its ports match golden); a
-        // diverging lane forks a private image and runs its capture
-        // window — exactly the scalar engines' DSR semantics.
-        let mut li = 0;
-        while li < lanes.len() {
-            let lane = &mut lanes[li];
-            let f = lane.fault;
-            log.clear();
-            let mut view = TrialView::new(&wmem, &mut log);
-            if f.kind == FaultKind::Transient {
-                lane.cpu.step(&mut view, &mut lports);
-            } else {
-                lane.cpu.step_with_overlay(&mut view, &mut lports, |st| f.overlay_for::<C>(st, at));
-            }
-            cost.replayed_cycles += 1;
-            let diff = lports.diff_mask(gp);
-            if diff == 0 {
-                li += 1;
-                continue;
-            }
-            let mut mem = fork_mem(&mut mem_pool, &wmem);
-            mem.apply_trial(&log);
-            let mut dsr_bits = diff;
-            let mut c = at + 1;
-            while c < at + u64::from(window) && c < trace_len {
-                lane.cpu.step_with_overlay(&mut mem, &mut lports, |st| f.overlay_for::<C>(st, c));
-                dsr_bits |=
-                    lports.diff_mask(trace.get(c).expect("capture within the golden trace"));
-                cost.replayed_cycles += 1;
-                c += 1;
-            }
-            let out = Some((at, Dsr::from_bits(dsr_bits)));
-            for &o in &lane.outs {
-                outcomes[o] = out;
-            }
-            mem_pool.push(mem);
-            lanes.swap_remove(li);
-        }
-
-        // Walk the fault-free golden machine through `at`.
-        wcpu.step(&mut wmem, &mut wports);
-        debug_assert_eq!(
-            wports.diff_mask(gp),
-            0,
-            "fault-free walker diverged from the recorded golden trace at cycle {at}"
-        );
-        cycle += 1;
-        cost.replayed_cycles += 1;
-        let committed = wcpu.state();
-
-        // Admit faults striking at `at` (exact duplicates share a lane).
-        while pending.peek().is_some_and(|&i| faults[i].cycle == at) {
-            let i = pending.next().expect("peeked");
-            let f = faults[i];
-            if let Some(lane) = lanes.iter_mut().find(|l| l.fault == f) {
-                lane.outs.push(i);
-                continue;
-            }
-            let mut st = committed.clone();
-            f.overlay_for::<C>(&mut st, at);
-            lanes.push(FanoutLane { cpu: C::from_state(st), fault: f, outs: vec![i] });
-            cost.lane_activations += 1;
-        }
-    }
-
-    (outcomes, cost)
 }
 
 /// Convenience for stats assembly: sums a sequence of group costs.
@@ -1022,6 +1074,52 @@ mod tests {
                 cost.replayed_cycles
             );
         }
+    }
+
+    /// One LR7 fault on bit 0 of flop `name` striking mid-run of rspeed:
+    /// its outcome and cost under the `full` layers, and the walker's
+    /// own cycles.
+    fn lr7_single_fault(name: &str, kind: FaultKind) -> (Option<(u64, Dsr)>, BatchCost, u64) {
+        let w = lockstep_workloads::Workload::find("rspeed").unwrap();
+        let cap = w.golden_capture_for::<Lr7>(5, 400_000, 4096);
+        let reg = Lr7::registry().iter().position(|r| r.name == name).unwrap() as u16;
+        let strike = cap.run.cycles / 2;
+        let fault = Fault::new(lockstep_cpu::FlopId { reg, lane: 0, bit: 0 }, kind, strike);
+        let (outcomes, cost) = <Lr7 as CoreBatch>::run_batch_group(
+            &cap.checkpoints,
+            &cap.trace,
+            &[fault],
+            8,
+            BatchConfig::FULL,
+        );
+        let walker = cap.trace.len() - cap.checkpoints.nearest_at(strike).unwrap().cycle;
+        (outcomes[0], cost, walker)
+    }
+
+    #[test]
+    fn lr7_transient_in_an_overwritten_latch_retires_early() {
+        // `imc_rdata` is a write-only fetch latch: the next fetch
+        // overwrites the flipped bit, the lane's state equals the
+        // walker's again, and the lane must retire there.
+        let (outcome, cost, _) = lr7_single_fault("imc_rdata", FaultKind::Transient);
+        assert_eq!(outcome, None);
+        assert_eq!(cost.masked_early_out, 1);
+        assert!(cost.early_out_cycles_saved > 0);
+    }
+
+    #[test]
+    fn lr7_stuck_at_agreeing_with_golden_parks_for_free() {
+        // A fault-free fetch never raises `imc_err`, so a stuck-at-0
+        // there agrees with golden to the end of the trace: it parks at
+        // admission and never costs a lane cycle.
+        let (outcome, cost, walker) = lr7_single_fault("imc_err", FaultKind::StuckAt0);
+        assert_eq!(outcome, None);
+        assert_eq!(cost.parked_masked, 1);
+        assert!(
+            cost.replayed_cycles <= walker + 1,
+            "cost {} simulated cycles, walker alone {walker}",
+            cost.replayed_cycles
+        );
     }
 
     #[test]

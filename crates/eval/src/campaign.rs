@@ -116,8 +116,8 @@ pub struct CampaignConfig {
     pub batch: Option<BatchConfig>,
     /// Core model under test (default [`CoreKind::Lr5`], the in-order
     /// pipeline). [`CoreKind::Lr7`] runs the out-of-order core behind
-    /// the same [`CoreModel`] contracts; its batched engine clamps to
-    /// the fan-out layer (see [`CoreBatch::clamp_layers`]).
+    /// the same [`CoreModel`] contracts, batched layers included (see
+    /// [`CoreBatch`]).
     pub core: CoreKind,
     /// Redundancy arrangement under test (default
     /// [`RedundancyMode::Fixed`], the paper's permanently paired DMR).
@@ -157,26 +157,14 @@ impl CampaignConfig {
     /// do the non-fixed redundancy modes (the DME comparator follows
     /// one dedicated faulty copy's retire stream, and dynamic mode
     /// keeps the scalar path so its archives stay byte-comparable to
-    /// fixed's). Like the LR7 layer clamp, the fallback is recorded
-    /// honestly: stats and shard provenance report the layers that
-    /// really ran, `"off"` here.
+    /// fixed's). The fallback is recorded honestly: stats and shard
+    /// provenance report the layers that really ran, `"off"` here.
     pub fn effective_batch(&self) -> Option<BatchConfig> {
         if self.trace_window.is_some() || self.redundancy != RedundancyMode::Fixed {
             None
         } else {
             self.batch
         }
-    }
-
-    /// [`effective_batch`](Self::effective_batch) after the selected
-    /// core's layer clamp — the label recorded in stats and shard
-    /// provenance, describing the layers that really ran (LR7 supports
-    /// only the fan-out substrate; richer layer sets clamp down).
-    pub fn effective_batch_clamped(&self) -> Option<BatchConfig> {
-        self.effective_batch().map(|layers| match self.core {
-            CoreKind::Lr5 => <Cpu as CoreBatch>::clamp_layers(layers),
-            CoreKind::Lr7 => <Lr7 as CoreBatch>::clamp_layers(layers),
-        })
     }
 }
 
@@ -256,7 +244,8 @@ pub struct CampaignStats {
     /// Injection throughput over the injection phase.
     pub injections_per_sec: f64,
     /// Batch-mode label of the producing run (`"off"` for scalar
-    /// per-fault replay; see [`BatchConfig::label`]).
+    /// per-fault replay; see [`BatchConfig::label`]), or `"mixed"` for
+    /// a merge of shards that ran different layer sets.
     pub batch_mode: String,
     /// Transients the batched engine scored masked via the dirty-set
     /// early-out before the end of the golden run.
@@ -660,11 +649,7 @@ pub fn run_campaign_for<C: CoreBatch>(config: &CampaignConfig) -> CampaignResult
         } else {
             0.0
         },
-        batch_mode: config
-            .effective_batch()
-            .map(C::clamp_layers)
-            .map_or("off", BatchConfig::label)
-            .to_owned(),
+        batch_mode: config.effective_batch().map_or("off", BatchConfig::label).to_owned(),
         masked_early_out: batch_cost.masked_early_out,
         early_out_cycles_saved: batch_cost.early_out_cycles_saved,
         parked_masked: batch_cost.parked_masked,
@@ -891,7 +876,6 @@ pub(crate) fn run_injection_phase<C: CoreBatch>(
 ) -> BatchCost {
     let window = config.capture_window;
     if let Some(layers) = config.effective_batch() {
-        let layers = C::clamp_layers(layers);
         return run_batch_phase::<C>(config, captures, fault_sets, counters, sink, layers, window);
     }
     let start = |wi: usize| match config.checkpoint_interval {
@@ -1426,11 +1410,6 @@ fn fault_active(fault: Fault, cycle: u64) -> bool {
         FaultKind::Transient => cycle == fault.cycle,
         FaultKind::StuckAt0 | FaultKind::StuckAt1 => cycle >= fault.cycle,
     }
-}
-
-/// Sanity accessor used by tests: total flip-flops under test.
-pub fn flop_count() -> u32 {
-    flops::total_flops()
 }
 
 #[cfg(test)]

@@ -130,8 +130,9 @@ pub struct ShardRepr {
     /// Redundancy mode label (`"fixed"` / `"dynamic"` / `"dme"`) —
     /// shards of one job must have compared the copies the same way.
     pub redundancy: String,
-    /// Effective batch mode label (`"off"`, `"fanout"`, ... `"full"`),
-    /// after the core's layer clamp.
+    /// Effective batch mode label (`"off"`, `"fanout"`, ... `"full"`).
+    /// Provenance only: [`ShardRepr::same_job`] ignores it, and a merge
+    /// of shards with different labels records `"mixed"`.
     pub batch_mode: String,
 }
 
@@ -181,16 +182,16 @@ impl ShardRepr {
             trace_window: config.trace_window.map_or(0, u64::from),
             core: config.core.label().to_owned(),
             redundancy: config.redundancy.label().to_owned(),
-            batch_mode: config
-                .effective_batch_clamped()
-                .map_or("off", BatchConfig::label)
-                .to_owned(),
+            batch_mode: config.effective_batch().map_or("off", BatchConfig::label).to_owned(),
         }
     }
 
     /// `true` when `other` is a shard of the same job: every field but
-    /// the shard's own identity (`index`, `fault_lo`, `fault_hi`)
-    /// matches.
+    /// the shard's own identity (`index`, `fault_lo`, `fault_hi`) and
+    /// its `batch_mode` matches. Records are byte-identical whatever the
+    /// batch layers, so shards run under different layer sets — say,
+    /// either side of an upgrade that changed what a core runs — are
+    /// slices of one job.
     pub fn same_job(&self, other: &ShardRepr) -> bool {
         self.count == other.count
             && self.workloads == other.workloads
@@ -201,7 +202,6 @@ impl ShardRepr {
             && self.trace_window == other.trace_window
             && self.core == other.core
             && self.redundancy == other.redundancy
-            && self.batch_mode == other.batch_mode
     }
 
     /// `true` when tracing was active for this job (trace blobs ride in
@@ -316,7 +316,7 @@ pub fn run_shard_for<C: CoreBatch>(config: &CampaignConfig, spec: &ShardSpec) ->
         } else {
             0.0
         },
-        batch_mode: config.effective_batch_clamped().map_or("off", BatchConfig::label).to_owned(),
+        batch_mode: config.effective_batch().map_or("off", BatchConfig::label).to_owned(),
         masked_early_out: batch_cost.masked_early_out,
         early_out_cycles_saved: batch_cost.early_out_cycles_saved,
         parked_masked: batch_cost.parked_masked,
@@ -544,7 +544,13 @@ pub fn merge_shard_archives(shards: &[CampaignArchive]) -> Result<CampaignArchiv
         injection_nanos,
         wall_nanos: shards.iter().map(|s| s.stats.wall_nanos).sum(),
         injections_per_sec: if injection_secs > 0.0 { total as f64 / injection_secs } else { 0.0 },
-        batch_mode: job.batch_mode.clone(),
+        // Shards of one job may have run different layer sets (see
+        // `same_job`); the merge must not depend on which comes first.
+        batch_mode: if reprs.iter().all(|r| r.batch_mode == job.batch_mode) {
+            job.batch_mode.clone()
+        } else {
+            "mixed".to_owned()
+        },
         masked_early_out: shards.iter().map(|s| s.stats.masked_early_out).sum(),
         early_out_cycles_saved: shards.iter().map(|s| s.stats.early_out_cycles_saved).sum(),
         parked_masked: shards.iter().map(|s| s.stats.parked_masked).sum(),
@@ -726,5 +732,36 @@ mod tests {
         let merged = merge_shard_archives(&[fresh[0].clone(), old, fresh[2].clone()]).unwrap();
         let single = CampaignArchive::from_result(&crate::campaign::run_campaign(&config));
         assert_eq!(archive_bytes(merged), archive_bytes(single));
+    }
+
+    #[test]
+    fn lr7_shards_labelled_fanout_merge_with_full_ones() {
+        // An LR7 job in flight across the upgrade that lifted LR7's
+        // clamp to fan-out: shard 1 was written while LR7 still ran
+        // `fanout` whatever was asked, the others under `full`.
+        let mut config = tiny_config();
+        config.core = CoreKind::Lr7;
+        config.batch = Some(BatchConfig::FULL);
+        let specs = plan_shards(&config, 3);
+        let fresh: Vec<CampaignArchive> = specs.iter().map(|s| run_shard(&config, s)).collect();
+        let json = serde_json::to_string(&fresh[1])
+            .unwrap()
+            .replace("\"batch_mode\":\"full\"", "\"batch_mode\":\"fanout\"");
+        assert_eq!(json.matches("\"batch_mode\":\"fanout\"").count(), 2);
+        let dir = std::env::temp_dir().join("lockstep_shard_lr7_fanout_compat");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("shard-0001.json");
+        std::fs::write(&path, json).unwrap();
+        let old = CampaignArchive::load(&path).expect("fanout-labelled shards load");
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(old.shard.as_ref().unwrap().batch_mode, "fanout");
+
+        let merged = merge_shard_archives(&[old.clone(), fresh[0].clone(), fresh[2].clone()])
+            .expect("shards differing only in batch mode are one job");
+        assert_eq!(merged.stats.batch_mode, "mixed");
+        let single = CampaignArchive::from_result(&crate::campaign::run_campaign(&config));
+        assert_eq!(archive_bytes(merged), archive_bytes(single));
+        let uniform = merge_shard_archives(&fresh).unwrap();
+        assert_eq!(uniform.stats.batch_mode, "full");
     }
 }

@@ -8,7 +8,8 @@
 //!
 //! Two granularities:
 //!
-//! * group level — [`run_batch_group`] against one
+//! * group level — [`run_batch_group`], and the core-generic
+//!   [`run_batch_group_for`] on LR5, against one
 //!   [`run_injection_from_checkpoint`] call per fault, over
 //!   property-sampled fault sets (duplicates and past-end strikes
 //!   included);
@@ -18,9 +19,9 @@
 
 use std::sync::OnceLock;
 
-use lockstep_cpu::flops;
+use lockstep_cpu::{flops, Cpu};
 use lockstep_eval::archive::CampaignArchive;
-use lockstep_eval::batch::{run_batch_group, BatchConfig};
+use lockstep_eval::batch::{run_batch_group, run_batch_group_for, BatchConfig};
 use lockstep_eval::campaign::{
     run_campaign, run_injection_from_checkpoint, CampaignConfig, CampaignResult, CampaignStats,
     DEFAULT_CAPTURE_WINDOW,
@@ -109,6 +110,11 @@ proptest! {
         let (outcomes, cost) =
             run_batch_group(&cap.checkpoints, &cap.trace, &faults, window, layers);
         prop_assert_eq!(outcomes.len(), faults.len());
+        // The core-generic engine (LR7's) on LR5: the same outcomes
+        // without quiet parking.
+        let (generic, _) =
+            run_batch_group_for::<Cpu>(&cap.checkpoints, &cap.trace, &faults, window, layers);
+        prop_assert_eq!(&generic, &outcomes, "core-generic `{}` differs", layers.label());
         for (fault, batched) in faults.iter().zip(&outcomes) {
             let (scalar, _) =
                 run_injection_from_checkpoint(&cap.checkpoints, &cap.trace, *fault, window);

@@ -1,7 +1,7 @@
 //! The LR7 out-of-order core's campaign contracts: behind the
 //! [`CoreModel`] trait the injection engine must treat it exactly like
-//! the LR5 — same archive whatever the thread count or (supported)
-//! batch mode, and the same shard/merge determinism. Shadow replay on
+//! the LR5 — same archive whatever the thread count or batch layer
+//! set, and the same shard/merge determinism. Shadow replay on
 //! LR7 is checked against live golden twins by the in-crate oracle
 //! (`crates/eval/src/campaign/replay_oracle.rs`). None
 //! of these compare LR7 *against* LR5 (the cores diverge
@@ -11,14 +11,29 @@
 //! Archives are compared as serialized bytes with the stats block
 //! normalized out, the convention of the whole equivalence suite.
 
-use lockstep_cpu::CoreKind;
+use std::sync::OnceLock;
+
+use lockstep_cpu::{flops, CoreKind, CoreModel, FlopId, Lr7, Lr7State};
 use lockstep_eval::archive::CampaignArchive;
-use lockstep_eval::batch::BatchConfig;
+use lockstep_eval::batch::{BatchConfig, CoreBatch};
 use lockstep_eval::campaign::{
     run_campaign, CampaignConfig, CampaignResult, CampaignStats, DEFAULT_CAPTURE_WINDOW,
 };
 use lockstep_eval::shard::{merge_shard_archives, plan_shards, run_shard};
-use lockstep_workloads::Workload;
+use lockstep_fault::{Fault, FaultKind};
+use lockstep_workloads::{GoldenCapture, Workload};
+use proptest::prelude::*;
+
+const ALL_LAYERS: [BatchConfig; 4] =
+    [BatchConfig::FAN_OUT, BatchConfig::EARLY_OUT, BatchConfig::LANES, BatchConfig::FULL];
+
+/// One LR7 golden capture of rspeed, shared by the group-level cases.
+fn lr7_capture() -> &'static GoldenCapture<Lr7State> {
+    static CAP: OnceLock<GoldenCapture<Lr7State>> = OnceLock::new();
+    CAP.get_or_init(|| {
+        Workload::find("rspeed").unwrap().golden_capture_for::<Lr7>(61, 400_000, 1024)
+    })
+}
 
 fn base_config() -> CampaignConfig {
     CampaignConfig {
@@ -65,40 +80,69 @@ fn lr7_archives_byte_identical_across_thread_counts() {
     }
 }
 
-/// Checkpoint fan-out — the batch layer LR7 supports — is
-/// byte-identical to scalar replay, for checkpointing off, dense, and
-/// default spacing.
+/// Every batch layer set — fan-out, early-out, parked lanes, all three
+/// — is byte-identical to scalar replay on the out-of-order core, for
+/// checkpointing off, dense, and default spacing; the stats record the
+/// layers requested, because LR7 runs every one of them.
 #[test]
-fn lr7_fanout_batch_byte_identical_to_scalar() {
+fn lr7_every_layer_set_byte_identical_to_scalar() {
     for interval in [None, Some(512), Some(4096)] {
         let mut cfg = base_config();
         cfg.checkpoint_interval = interval;
-        let scalar = run_campaign(&cfg);
-        cfg.batch = Some(BatchConfig::FAN_OUT);
-        let batched = run_campaign(&cfg);
-        assert_eq!(batched.stats.batch_mode, "fanout");
-        assert_eq!(
-            archive_bytes(&scalar),
-            archive_bytes(&batched),
-            "fan-out changed the LR7 archive at checkpoint interval {interval:?}"
-        );
+        let scalar = archive_bytes(&run_campaign(&cfg));
+        for layers in ALL_LAYERS {
+            cfg.batch = Some(layers);
+            let batched = run_campaign(&cfg);
+            assert_eq!(batched.stats.batch_mode, layers.label());
+            assert_eq!(
+                scalar,
+                archive_bytes(&batched),
+                "`{}` changed the LR7 archive at checkpoint interval {interval:?}",
+                layers.label()
+            );
+        }
     }
 }
 
-/// Asking the LR7 for layers it cannot run (early-out and parked lanes
-/// assume the memoryless in-order walker) clamps to fan-out rather than
-/// silently computing wrong outcomes — and the clamped label is what
-/// the stats record.
-#[test]
-fn lr7_clamps_unsupported_batch_layers_to_fanout() {
-    let mut cfg = base_config();
-    cfg.batch = Some(BatchConfig::FULL);
-    assert_eq!(cfg.effective_batch_clamped(), Some(BatchConfig::FAN_OUT));
-    let result = run_campaign(&cfg);
-    assert_eq!(result.stats.batch_mode, "fanout", "stats must record the clamped layers");
-    cfg.batch = None;
-    let scalar = run_campaign(&cfg);
-    assert_eq!(archive_bytes(&scalar), archive_bytes(&result));
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Group-level: on property-sampled LR7 fault sets (duplicates and
+    /// past-end strikes included) every layer set gives the fan-out
+    /// substrate's outcomes, which the campaign test above ties to
+    /// scalar replay; disabled layers report no savings.
+    #[test]
+    fn lr7_batch_group_outcomes_do_not_depend_on_layers(
+        picks in proptest::collection::vec((0usize..10_000, 0u8..3, 0u64..1100), 1..40),
+        window in 1u32..=24,
+        layers in proptest::sample::select(ALL_LAYERS.to_vec()),
+    ) {
+        let cap = lr7_capture();
+        let all: Vec<FlopId> = flops::all_flops_in(Lr7::registry()).collect();
+        let faults: Vec<Fault> = picks
+            .iter()
+            .map(|&(flop_pick, kind, cycle_frac)| {
+                let kind = match kind {
+                    0 => FaultKind::Transient,
+                    1 => FaultKind::StuckAt0,
+                    _ => FaultKind::StuckAt1,
+                };
+                Fault::new(all[flop_pick % all.len()], kind, cap.run.cycles * cycle_frac / 1000)
+            })
+            .collect();
+        let run = |layers| {
+            <Lr7 as CoreBatch>::run_batch_group(&cap.checkpoints, &cap.trace, &faults, window, layers)
+        };
+        let (reference, _) = run(BatchConfig::FAN_OUT);
+        let (outcomes, cost) = run(layers);
+        prop_assert_eq!(outcomes, reference, "`{}` changed LR7 outcomes", layers.label());
+        if !layers.early_out {
+            prop_assert_eq!(cost.masked_early_out, 0);
+        }
+        if !layers.parked_lanes {
+            prop_assert_eq!(cost.parked_masked, 0);
+        }
+    }
 }
 
 /// The redundancy axis holds on the out-of-order core too: `dynamic`

@@ -39,9 +39,16 @@ fn main() {
         die(&usage());
     };
     match command.as_str() {
-        "ping" => println!("{}", request(&addr, r#"{"cmd":"ping"}"#)),
-        "shutdown" => println!("{}", request(&addr, r#"{"cmd":"shutdown"}"#)),
+        "ping" => {
+            check_flags(flags, &[]);
+            println!("{}", request(&addr, r#"{"cmd":"ping"}"#));
+        }
+        "shutdown" => {
+            check_flags(flags, &[]);
+            println!("{}", request(&addr, r#"{"cmd":"shutdown"}"#));
+        }
         "status" => {
+            check_flags(flags, &["--job"]);
             let job = flag_value(flags, "--job");
             let line = match job {
                 Some(id) => format!(r#"{{"cmd":"status","job":"{id}"}}"#),
@@ -50,10 +57,12 @@ fn main() {
             println!("{}", request(&addr, &line));
         }
         "submit" => {
+            check_flags(flags, &SPEC_FLAGS);
             let spec = spec_from_flags(flags);
             println!("{}", request(&addr, &submit_line(&spec)));
         }
         "predict" => {
+            check_flags(flags, &["--dsr", "--granularity", "--core"]);
             let dsr = flag_value(flags, "--dsr").unwrap_or_else(|| die("predict needs --dsr"));
             let granularity = flag_value(flags, "--granularity").unwrap_or("coarse".to_owned());
             let core = flag_value(flags, "--core").unwrap_or("lr5".to_owned());
@@ -63,6 +72,7 @@ fn main() {
             println!("{}", request(&addr, &line));
         }
         "wait" => {
+            check_flags(flags, &["--job", "--timeout-secs"]);
             let job = flag_value(flags, "--job").unwrap_or_else(|| die("wait needs --job"));
             let timeout = flag_value(flags, "--timeout-secs")
                 .map_or(600, |s| s.parse().unwrap_or_else(|_| die("bad --timeout-secs")));
@@ -72,7 +82,10 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        "check" => check(&addr, flags),
+        "check" => {
+            check_flags(flags, &[&SPEC_FLAGS[..], &["--granularity", "--timeout-secs"]].concat());
+            check(&addr, flags);
+        }
         "--help" | "-h" | "help" => println!("{}", usage()),
         other => die(&format!("unknown command `{other}`\n{}", usage())),
     }
@@ -84,14 +97,33 @@ fn usage() -> String {
      ping\n  \
      submit --workloads a,b[,fuzz:<seed>[:<count>]] --faults N [--seed S] [--shards K]\n         \
      [--batch-mode off|fanout|earlyout|lanes|full]\n         \
-     [--core lr5|lr7]\n  \
+     [--core lr5|lr7] [--redundancy fixed|dynamic|dme]\n  \
      status [--job job-NNNNNN]\n  \
      wait --job job-NNNNNN [--timeout-secs N]\n  \
      predict --dsr 0xHEX [--granularity coarse|fine] [--core lr5|lr7]\n  \
      check --workloads a,b --faults N [--seed S] [--shards K] [--granularity coarse|fine]\n       \
-     [--core lr5|lr7]\n  \
+     [--batch-mode ...] [--core lr5|lr7] [--redundancy fixed|dynamic|dme]\n       \
+     [--timeout-secs N]\n  \
      shutdown"
         .to_owned()
+}
+
+/// The flags `submit` reads into a job spec (`check` reads them too).
+const SPEC_FLAGS: [&str; 7] =
+    ["--workloads", "--faults", "--seed", "--shards", "--batch-mode", "--core", "--redundancy"];
+
+/// Refuses any flag the subcommand does not read, before anything is
+/// sent: a misspelt axis must not silently run a different campaign.
+/// Every flag takes a value, which is skipped here and checked by
+/// [`flag_value`].
+fn check_flags(flags: &[String], known: &[&str]) {
+    let mut it = flags.iter();
+    while let Some(flag) = it.next() {
+        if !known.contains(&flag.as_str()) {
+            die(&format!("unknown flag `{flag}`\n{}", usage()));
+        }
+        it.next();
+    }
 }
 
 fn die(msg: &str) -> ! {

@@ -11,23 +11,33 @@
 //! `EXPERIMENTS.md` measures the collapse): pooling records across
 //! cores would contaminate both diagnoses.
 //!
-//! Merged jobs and trained tables are cached: jobs are immutable once
-//! complete, and tables retrain only when the scheduler's completion
-//! generation moves.
+//! What training reads of each completed job is cached: jobs are
+//! immutable once complete, and tables retrain only when the
+//! scheduler's completion generation moves. The cache keeps one
+//! [`Sample`] per manifested record (16 bytes), not the merged archive,
+//! so a long-running server's memory grows by a few KiB per job.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use lockstep_core::{Dsr, ErrorRecord, Predictor, PredictorConfig};
-use lockstep_cpu::{CoreKind, Granularity};
-use lockstep_eval::archive::CampaignArchive;
-use lockstep_eval::dataset::Dataset;
+use lockstep_core::{Dsr, Predictor, PredictorConfig, TrainRecord};
+use lockstep_cpu::{CoreKind, Granularity, UnitId};
 use lockstep_eval::shard::merge_shard_archives;
 use lockstep_fault::ErrorKind;
 use lockstep_obs::{Event, EventSink};
 
 use crate::proto::{granularity_label, PredictResponse};
 use crate::registry::Registry;
+
+/// What a table trains on of one manifested error record: exactly the
+/// fields `Dataset::to_train_records` reads, so training matches the
+/// offline path record for record.
+#[derive(Debug, Clone, Copy)]
+struct Sample {
+    dsr: Dsr,
+    unit: UnitId,
+    kind: ErrorKind,
+}
 
 struct Table {
     generation: u64,
@@ -40,9 +50,9 @@ struct Table {
 pub struct PredictService {
     registry: Arc<Registry>,
     events: Option<Arc<dyn EventSink>>,
-    /// Merged archives of completed jobs, by job id (immutable once
-    /// present).
-    merged: Mutex<HashMap<String, Arc<CampaignArchive>>>,
+    /// Training samples of completed jobs, in merged record order, by
+    /// job id (immutable once present).
+    merged: Mutex<HashMap<String, Arc<[Sample]>>>,
     /// Trained tables by `(core, granularity)`, tagged with the
     /// generation they were trained at.
     tables: Mutex<HashMap<(&'static str, &'static str), Table>>,
@@ -66,21 +76,35 @@ impl PredictService {
         }
     }
 
-    /// The merged archive of completed job `id`, built on first use
-    /// (merge-on-read) and cached.
+    /// The number of error records completed job `id` manifested.
+    ///
+    /// # Errors
+    ///
+    /// As [`PredictService::merged_samples`].
+    pub fn job_records(&self, id: &str) -> Result<u64, String> {
+        self.merged_samples(id).map(|samples| samples.len() as u64)
+    }
+
+    /// The training samples of completed job `id`, merged from its
+    /// shards on first use (merge-on-read) and cached.
     ///
     /// # Errors
     ///
     /// Returns a message when the job's shard files are unreadable or
     /// fail the merge validation.
-    pub fn merged_job(&self, id: &str) -> Result<Arc<CampaignArchive>, String> {
-        if let Some(archive) = self.merged.lock().expect("no poisoned cache").get(id) {
-            return Ok(Arc::clone(archive));
+    fn merged_samples(&self, id: &str) -> Result<Arc<[Sample]>, String> {
+        if let Some(samples) = self.merged.lock().expect("no poisoned cache").get(id) {
+            return Ok(Arc::clone(samples));
         }
         let shards = self.registry.load_completed(id)?;
-        let merged = Arc::new(merge_shard_archives(&shards).map_err(|e| format!("{id}: {e}"))?);
-        self.merged.lock().expect("no poisoned cache").insert(id.to_owned(), Arc::clone(&merged));
-        Ok(merged)
+        let merged = merge_shard_archives(&shards).map_err(|e| format!("{id}: {e}"))?;
+        let samples: Arc<[Sample]> = merged
+            .records
+            .iter()
+            .map(|r| Sample { dsr: r.dsr, unit: r.unit(), kind: r.kind() })
+            .collect();
+        self.merged.lock().expect("no poisoned cache").insert(id.to_owned(), Arc::clone(&samples));
+        Ok(samples)
     }
 
     /// Diagnoses `dsr` against `core`'s table trained at `generation`
@@ -140,7 +164,7 @@ impl PredictService {
         generation: u64,
     ) -> Result<Table, String> {
         let jobs = self.registry.jobs().map_err(|e| format!("registry scan failed: {e}"))?;
-        let mut archives: Vec<Arc<CampaignArchive>> = Vec::new();
+        let mut merged: Vec<Arc<[Sample]>> = Vec::new();
         for job in &jobs {
             if job.spec.campaign.core != core.label() {
                 continue;
@@ -151,21 +175,24 @@ impl PredictService {
             if (self.registry.completed_shards(&job.id).len() as u64) < job.shards {
                 continue;
             }
-            archives.push(self.merged_job(&job.id)?);
+            merged.push(self.merged_samples(&job.id)?);
         }
-        let records: Vec<&ErrorRecord> = archives.iter().flat_map(|a| a.records.iter()).collect();
-        if records.is_empty() {
+        let train: Vec<TrainRecord> = merged
+            .iter()
+            .flat_map(|samples| samples.iter())
+            .map(|s| TrainRecord { dsr: s.dsr, unit: granularity.index_of(s.unit), kind: s.kind })
+            .collect();
+        if train.is_empty() {
             return Err(format!(
                 "no trained table yet: no completed {} job has manifested error records",
                 core.label()
             ));
         }
-        let train = Dataset::to_train_records(&records, granularity);
         Ok(Table {
             generation,
             predictor: Predictor::train(&train, PredictorConfig::new(granularity)),
-            trained_records: records.len() as u64,
-            trained_jobs: archives.len() as u64,
+            trained_records: train.len() as u64,
+            trained_jobs: merged.len() as u64,
         })
     }
 }

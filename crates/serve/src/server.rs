@@ -253,11 +253,7 @@ impl Service {
             let done = self.registry.completed_shards(&job.id).len() as u64;
             let failure = self.registry.failure(&job.id);
             let complete = failure.is_none() && done >= job.shards;
-            let records = if complete {
-                self.predict.merged_job(&job.id).map(|a| a.records.len() as u64).unwrap_or(0)
-            } else {
-                0
-            };
+            let records = if complete { self.predict.job_records(&job.id).unwrap_or(0) } else { 0 };
             statuses.push(JobStatus {
                 job: job.id.clone(),
                 state: if failure.is_some() {
